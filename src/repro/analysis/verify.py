@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from repro.core.result import NetReport, PacorResult, Segment
 from repro.designs.design import Design
-from repro.geometry.point import Point
+from repro.geometry.point import Point, manhattan
 from repro.robustness.errors import PacorError
 from repro.valves.compatibility import pairwise_compatible
 
@@ -125,13 +125,15 @@ def verify_result(
                 f"net {net.net_id} does not reach its pin {net.pin}"
             )
 
-        # 5a. Drawn segments stay within the reported cell set.
+        # 5a. Drawn segments stay within the reported cell set and join
+        # cells one step apart (a via counts its z step, so the
+        # mixed-arity distance is used, not ``Point.manhattan``).
         for a, b in net.segments:
             if a not in net.cells or b not in net.cells:
                 raise VerificationError(
                     f"net {net.net_id} has a drawn segment outside its cells"
                 )
-            if a.manhattan(b) != 1:
+            if manhattan(a, b) != 1:
                 raise VerificationError(
                     f"net {net.net_id} has a non-adjacent segment {a}-{b}"
                 )

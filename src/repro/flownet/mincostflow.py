@@ -11,10 +11,15 @@ classic arc-list MCMF) and per-node adjacency is a CSR view built lazily
 at solve time: a stable argsort of the arc tail array groups each node's
 arcs in insertion order, which keeps relaxation order — and therefore
 tie-breaking and the solved flow — identical to the old per-node
-adjacency lists.  The per-augmentation potential update is one
-vectorised ``minimum`` over the distance array; because ``min(inf,
-d_sink) == d_sink`` it reproduces the scalar settled/unsettled split
-bit-for-bit.
+adjacency lists.
+
+With all-integral costs the search is a Dial bucket queue that stops as
+soon as the sink sits at the current bucket key, and each augmentation
+moves only the potentials of nodes settled below ``d_sink``, by ``dist -
+d_sink``: the textbook update minus a uniform shift, which reduced costs
+never see.  Every value stays an exact small integer, so both trims
+leave each augmenting path unchanged.  Fractional costs use a binary
+heap and the textbook update.
 """
 
 from __future__ import annotations
@@ -219,19 +224,34 @@ class MinCostFlow:
                 # inserts only ever target the current or later buckets.
                 buckets: dict = {0: [source]}
                 key_heap = [0]
+                done: List[int] = []  # settled nodes, in pop order
                 while key_heap:
                     kb = key_heap[0]
+                    below = len(done)  # settled with dist < kb
+                    # Once the sink sits at the current key its distance
+                    # and parent arc are final: later relaxations only
+                    # offer keys >= kb, and ``nd < dist`` is strict.
+                    if dist[sink] == kb:
+                        break
                     bucket = buckets[kb]
                     heapq.heapify(bucket)
-                    sink_hit = False
-                    while bucket:
-                        u = heappop(bucket)
+                    # ``front`` (-1 when empty) holds the smallest pending
+                    # id of this bucket outside the heap: it is never
+                    # larger than ``bucket[0]``, so pops stay in id order
+                    # while a zero-reduced-cost chain skips the heap.
+                    front = -1
+                    while True:
+                        if front >= 0:
+                            u = front
+                            front = -1
+                        elif bucket:
+                            u = heappop(bucket)
+                        else:
+                            break
                         if settled[u]:
                             continue
                         settled[u] = 1
-                        if u == sink:
-                            sink_hit = True
-                            break
+                        done.append(u)
                         d = dist[u]
                         pot_u = potential[u]
                         for j in arcs_of[u]:
@@ -240,26 +260,39 @@ class MinCostFlow:
                             v = cto[j]
                             if settled[v]:
                                 continue
-                            # Same association order as the original
-                            # loop — float sums are order-sensitive and
-                            # results are pinned (exact here, but kept
-                            # aligned with the fractional branch; the
-                            # 1e-12 slack is dropped because for exact
-                            # integers it equals the strict compare).
+                            # Same association order as the fractional
+                            # branch; the 1e-12 slack is dropped because
+                            # for exact integers it equals the strict
+                            # compare.
                             nd = d + ccost[j] + pot_u - potential[v]
                             if nd < dist[v]:
                                 dist[v] = nd
                                 parent[v] = j
                                 key = int(nd)
+                                if key == kb:
+                                    if v == sink:
+                                        break
+                                    if front < 0:
+                                        if bucket and bucket[0] < v:
+                                            heappush(bucket, v)
+                                        else:
+                                            front = v
+                                    elif v < front:
+                                        heappush(bucket, front)
+                                        front = v
+                                    else:
+                                        heappush(bucket, v)
+                                    continue
                                 other = buckets.get(key)
                                 if other is None:
                                     buckets[key] = [v]
                                     heappush(key_heap, key)
-                                elif other is bucket:
-                                    heappush(bucket, v)
                                 else:
                                     other.append(v)
-                    if sink_hit:
+                        else:
+                            continue
+                        break  # the sink joined the current bucket
+                    if dist[sink] == kb:
                         break
                     del buckets[kb]
                     heappop(key_heap)
@@ -284,23 +317,25 @@ class MinCostFlow:
                             dist[v] = nd
                             parent[v] = j
                             heappush(heap, (nd, v))
-            if not settled[sink]:
+            d_sink = dist[sink]
+            if d_sink == _INF:
                 break
             augmentations += 1
 
-            # Update potentials: settled/reached nodes move by their
-            # distance, unreached ones by dist[sink] (standard early-exit
-            # variant).  ``min(inf, d_sink) == d_sink`` folds both cases
-            # into one vectorised minimum.  With exact integer distances
-            # a zero d_sink makes every addend +0.0 — a bitwise no-op
-            # (no -0.0 can arise from the non-negative sums), so the
-            # whole update is skipped.
-            d_sink = dist[sink]
-            if not int_mode or d_sink != 0.0:
+            # Update potentials.  Textbook early exit: settled nodes move
+            # by their distance, the rest by d_sink.  In integer mode the
+            # uniform +d_sink is dropped — potentials only enter reduced
+            # costs as differences, and every value is an exact small
+            # integer — so only nodes settled below d_sink move, by
+            # ``dist - d_sink``.  The fractional branch keeps the
+            # vectorised form: ``min(inf, d_sink) == d_sink`` folds both
+            # cases into one ``minimum``.
+            if int_mode:
+                for v in done[:below]:
+                    potential[v] += dist[v] - d_sink
+            else:
                 pot_np = np.asarray(potential, dtype=np.float64)
-                pot_np += np.minimum(
-                    np.asarray(dist, dtype=np.float64), d_sink
-                )
+                pot_np += np.minimum(np.asarray(dist, dtype=np.float64), d_sink)
                 potential = pot_np.tolist()
 
             # Bottleneck along the path (``cto[cpair[j]]`` is arc j's

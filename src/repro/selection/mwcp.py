@@ -65,6 +65,11 @@ class SelectionInstance:
         """Return the flat node index of ``candidate`` within ``cluster``."""
         return self.offsets[cluster] + candidate
 
+    @property
+    def pair_matrix(self) -> np.ndarray:
+        """Return the symmetric flat pair-weight matrix (zero within a cluster)."""
+        return self._pair
+
     def pair_weight(self, a: int, b: int) -> float:
         """Return the overlap cost between flat candidates ``a`` and ``b``."""
         return float(self._pair[a, b])

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.selection.mwcp import SelectionInstance
 
 
@@ -131,6 +133,12 @@ def solve_exact(
     to decided candidates`` (edges among undecided clusters are bounded
     by zero).  Starts from the local-search incumbent.  When ``max_nodes``
     is exhausted the incumbent is returned with ``optimal=False``.
+
+    Every node carries a gain vector over all flat candidates: ``node
+    weight + pair weights to the decided candidates``, the rows added in
+    choice order so each entry keeps the float association of a scalar
+    ``node_weight + Σ pair_weight`` sum.  The bound and the candidate
+    ranking both read it.
     """
     incumbent = solve_local_search(instance)
     best_choice = list(incumbent.choice)
@@ -143,19 +151,11 @@ def solve_exact(
     budget_hit = False
 
     choice: List[int] = [0] * instance.n_clusters
-    chosen_flats: List[int] = []
+    pair = instance.pair_matrix
+    offsets = instance.offsets
+    sizes = [len(c) for c in instance.clusters]
 
-    def bound_remaining(depth: int) -> float:
-        total = 0.0
-        for pos in range(depth, len(order)):
-            ci = order[pos]
-            total += max(
-                _incremental_gain(instance, ci, a, chosen_flats)
-                for a in range(len(instance.clusters[ci]))
-            )
-        return total
-
-    def descend(depth: int, value: float) -> None:
+    def descend(depth: int, value: float, gains: np.ndarray) -> None:
         nonlocal best_choice, best_value, nodes_explored, budget_hit
         if budget_hit:
             return
@@ -168,21 +168,22 @@ def solve_exact(
                 best_value = value
                 best_choice = list(choice)
             return
-        if value + bound_remaining(depth) <= best_value + 1e-12:
+        # Per-cluster best gains, summed in ``order`` so the float total
+        # matches a cluster-by-cluster scalar accumulation.
+        best = np.maximum.reduceat(gains, offsets).tolist()
+        bound = 0.0
+        for pos in range(depth, len(order)):
+            bound += best[order[pos]]
+        if value + bound <= best_value + 1e-12:
             return
         ci = order[depth]
-        ranked = sorted(
-            range(len(instance.clusters[ci])),
-            key=lambda a: -_incremental_gain(instance, ci, a, chosen_flats),
-        )
-        for a in ranked:
-            gain = _incremental_gain(instance, ci, a, chosen_flats)
+        base = offsets[ci]
+        own = gains[base : base + sizes[ci]].tolist()
+        for a in sorted(range(sizes[ci]), key=lambda k: -own[k]):
             choice[ci] = a
-            chosen_flats.append(instance.flat_index(ci, a))
-            descend(depth + 1, value + gain)
-            chosen_flats.pop()
+            descend(depth + 1, value + own[a], gains + pair[base + a])
 
-    descend(0, 0.0)
+    descend(0, 0.0, instance.node_weight.astype(np.float64))
     return SelectionResult(
         best_choice,
         instance.objective(best_choice),

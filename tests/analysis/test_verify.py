@@ -6,6 +6,7 @@ from repro.analysis import VerificationError, network_lengths, verify_result
 from repro.core.result import NetReport, PacorResult, segments_of_path
 from repro.designs import Design
 from repro.geometry import Point
+from repro.geometry.point import Point3
 from repro.grid import RoutingGrid
 from repro.valves import ActivationSequence, Valve
 
@@ -215,3 +216,51 @@ class TestVerifyResult:
         net.routed = False
         notes = verify_result(design, make_result([net]))
         assert any("unrouted" in n for n in notes)
+
+
+def layered_net(riser):
+    """The good net with its escape lifted onto layer 1 between y=4 and y=1.
+
+    ``riser`` is the segment that climbs from the layer-0 cell (5,4).
+    """
+    lower = straight_cells((3, 5), (5, 5)) + straight_cells((7, 5), (5, 5))
+    upper = [Point3(5, y, 1) for y in range(4, 0, -1)]
+    cells = lower + [Point(5, 4)] + upper + [Point(5, 1), Point(5, 0)]
+    segs = (
+        segments_of_path(straight_cells((3, 5), (5, 5)))
+        + segments_of_path(straight_cells((7, 5), (5, 5)))
+        + [(Point(5, 5), Point(5, 4)), riser]
+        + segments_of_path(upper)
+        + [(Point3(5, 1, 1), Point(5, 1)), (Point(5, 1), Point(5, 0))]
+    )
+    net = good_net()
+    net.cells = frozenset(cells)
+    net.segments = frozenset(segs)
+    net.channel_length = len(net.segments)
+    return net
+
+
+class TestLayeredSegments:
+    def design(self):
+        design = make_design()
+        design.grid = RoutingGrid(10, 10, layers=2)
+        return design
+
+    def test_via_segments_verify(self):
+        # Regression: step 5a once measured (5,4)-(5,4,z1) with the
+        # planar Point.manhattan, read 0 and rejected the via.
+        net = layered_net((Point(5, 4), Point3(5, 4, 1)))
+        assert verify_result(self.design(), make_result([net])) == []
+
+    def test_diagonal_via_step_rejected(self):
+        # (5,4)-(5,3,z1) moves one row and one layer at once: two steps,
+        # which the planar distance would have read as one.
+        net = layered_net((Point(5, 4), Point3(5, 3, 1)))
+        with pytest.raises(VerificationError, match="non-adjacent"):
+            verify_result(self.design(), make_result([net]))
+
+    def test_planar_gap_still_rejected(self):
+        net = good_net()
+        net.segments = net.segments | {(Point(5, 2), Point(5, 0))}
+        with pytest.raises(VerificationError, match="non-adjacent"):
+            verify_result(make_design(), make_result([net]))
