@@ -10,7 +10,10 @@
   jobs off the :class:`~repro.service.queue.JobQueue` into a
   ``multiprocessing`` worker pool running
   :func:`~repro.service.workers.run_job`, and reaps finished workers by
-  reading their atomically-written ``outcome.json``.
+  reading their atomically-written ``outcome.json``.  The thread is
+  event-driven, not polled: it blocks until a worker's process sentinel
+  fires or a wake-up lands on its self-pipe (sent by every enqueue and
+  by :meth:`PacorService.stop`).
 * **preempt/park** — stopping the daemon (or cancelling a running job)
   SIGTERMs the worker; the worker parks an interrupt checkpoint and the
   job is reaped as ``preempted``, resumable later.
@@ -30,6 +33,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from pathlib import Path as FilePath
 from typing import Any, Dict, List, Optional, Union
 
@@ -71,7 +75,6 @@ class PacorService:
         workers: maximum concurrently running worker processes.
         start_method: ``multiprocessing`` start method (None = platform
             default; the service is spawn-safe either way).
-        poll_interval: dispatcher loop sleep between reap/dispatch steps.
         metrics: shared metrics registry (``service.*`` counters).
     """
 
@@ -81,7 +84,6 @@ class PacorService:
         *,
         workers: int = 2,
         start_method: Optional[str] = None,
-        poll_interval: float = 0.05,
         metrics: Optional[Metrics] = None,
     ) -> None:
         if workers < 1:
@@ -91,7 +93,6 @@ class PacorService:
         self.cache = ResultCache(self.store.cache_dir, self.metrics)
         self.queue = JobQueue()
         self.max_workers = workers
-        self.poll_interval = poll_interval
         self._ctx = multiprocessing.get_context(start_method)
         self._workers: Dict[str, _WorkerHandle] = {}
         self._lock = threading.RLock()
@@ -101,8 +102,17 @@ class PacorService:
 
         if enabled():
             register_lock(self._lock)
+        # Notified by every step() (and queued-job cancel / stop), so
+        # drain() waits on it until the pool may have emptied.
+        self._stepped = threading.Condition(self._lock)
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
+        # Self-pipe: a message per enqueue/stop wakes the dispatcher out
+        # of its wait on the worker sentinels.  At most one is ever in
+        # flight (``_wake_pending``), so a send never blocks on a full
+        # pipe, even when no dispatcher is draining it.
+        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
+        self._wake_pending = False
         self._submitted = self.metrics.counter("service.jobs_submitted")
         self._completed = self.metrics.counter("service.jobs_completed")
         self._failed = self.metrics.counter("service.jobs_failed")
@@ -148,6 +158,18 @@ class PacorService:
                     )
             elif record.state == JobState.QUEUED:
                 self.queue.push(record.priority, record.seq, record.job_id)
+
+    def _enqueue(self, record: JobRecord) -> None:
+        """Queue ``record`` and wake the dispatcher (lock held)."""
+        self.queue.push(record.priority, record.seq, record.job_id)
+        self._wake()
+
+    def _wake(self) -> None:
+        """Wake the dispatcher unless a wake-up is already pending."""
+        with self._lock:
+            if not self._wake_pending:
+                self._wake_pending = True
+                self._wake_w.send_bytes(b"")
 
     # -- submission ---------------------------------------------------------
 
@@ -235,7 +257,7 @@ class PacorService:
                     {"kind": "status", "status": "cache-hit", "state": record.state},
                 )
             else:
-                self.queue.push(record.priority, record.seq, record.job_id)
+                self._enqueue(record)
                 self.store.append_event(
                     record.job_id,
                     {"kind": "status", "status": "queued", "qos": qos},
@@ -256,9 +278,23 @@ class PacorService:
             self._thread.start()
 
     def _loop(self) -> None:
-        while not self._stop.is_set():
+        """Step, then block until a worker exits or something is queued.
+
+        The pending wake-up is consumed *before* each step, so one sent
+        after the step's queue pop stays readable and the wait returns at
+        once — no enqueue is ever missed.
+        """
+        while True:
+            with self._lock:
+                if self._wake_pending:
+                    self._wake_r.recv_bytes()
+                    self._wake_pending = False
+            if self._stop.is_set():
+                return
             self.step()
-            self._stop.wait(self.poll_interval)
+            with self._lock:
+                sentinels = [h.process.sentinel for h in self._workers.values()]
+            wait([self._wake_r, *sentinels])
 
     def step(self) -> None:
         """One dispatcher iteration: reap finished workers, fill slots.
@@ -273,6 +309,7 @@ class PacorService:
                 if job_id is None:
                     break
                 self._launch(job_id)
+            self._stepped.notify_all()
 
     def _launch(self, job_id: str) -> None:
         record = self.store.load(job_id)
@@ -378,6 +415,7 @@ class PacorService:
         killed and settled by crash accounting.
         """
         self._stop.set()
+        self._wake()
         thread = self._thread
         if thread is not None:
             thread.join(timeout=timeout)
@@ -401,6 +439,7 @@ class PacorService:
                 handle.process.join()
         with self._lock:
             self._reap()
+            self._stepped.notify_all()
 
     # -- job control --------------------------------------------------------
 
@@ -451,7 +490,7 @@ class PacorService:
             record.preempt_kind = None
             record.cancel_requested = False
             self.store.save(record)
-            self.queue.push(record.priority, record.seq, record.job_id)
+            self._enqueue(record)
             self._resumed.inc()
             self.store.append_event(
                 job_id, {"kind": "status", "status": "resubmitted"}
@@ -472,6 +511,7 @@ class PacorService:
                 record.state = JobState.CANCELLED
                 self.store.save(record)
                 self._cancelled.inc()
+                self._stepped.notify_all()
                 self.store.append_event(
                     job_id, {"kind": "status", "status": "cancelled"}
                 )
@@ -562,11 +602,7 @@ class PacorService:
 
         Testing/CLI helper — the dispatcher thread must be running.
         """
-        deadline = time.perf_counter() + timeout
-        while time.perf_counter() < deadline:
-            with self._lock:
-                idle = not self._workers and len(self.queue) == 0
-            if idle:
-                return True
-            time.sleep(min(self.poll_interval, 0.05))
-        return False
+        with self._stepped:
+            return self._stepped.wait_for(
+                lambda: not self._workers and len(self.queue) == 0, timeout
+            )
