@@ -9,7 +9,6 @@
 * :mod:`repro.analysis.report` — Table-1/Table-2 style text tables.
 """
 
-from repro.analysis.congestion import CongestionMap, congestion_map, congestion_svg
 from repro.analysis.metrics import MethodComparison, compare_methods
 from repro.analysis.pressure import ClusterSkew, DelayModel, cluster_skews, worst_skew
 from repro.analysis.stats import (
@@ -40,7 +39,4 @@ __all__ = [
     "steiner_lower_bound",
     "escape_lower_bound",
     "quality_ratio",
-    "CongestionMap",
-    "congestion_map",
-    "congestion_svg",
 ]

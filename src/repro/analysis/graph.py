@@ -164,22 +164,11 @@ class ProjectGraph:
         self.modules[parsed.module] = mod
         package = self._package_of(parsed)
         for node in parsed.tree.body:
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".", 1)[0]
-                    target = alias.name if alias.asname else local
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for local, target in self._import_bindings(package, node):
                     mod.bindings[local] = target
-            elif isinstance(node, ast.ImportFrom):
-                base = self._import_base(package, node)
-                if base is None:
-                    continue
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    local = alias.asname or alias.name
-                    target = f"{base}.{alias.name}" if base else alias.name
-                    mod.bindings[local] = target
-                    self.aliases[f"{parsed.module}.{local}"] = target
+                    if isinstance(node, ast.ImportFrom):
+                        self.aliases[f"{parsed.module}.{local}"] = target
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qname = f"{parsed.module}.{node.name}"
                 self.functions[qname] = FunctionInfo(
@@ -240,6 +229,27 @@ class ProjectGraph:
         if parsed.rel.endswith("__init__.py"):
             return module
         return module.rsplit(".", 1)[0] if "." in module else ""
+
+    @classmethod
+    def _import_bindings(
+        cls, package: str, node: ast.AST
+    ) -> List[Tuple[str, str]]:
+        """Return the (local name, target) pairs an import statement binds."""
+        pairs: List[Tuple[str, str]] = []
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".", 1)[0]
+                pairs.append((local, alias.name if alias.asname else local))
+        elif isinstance(node, ast.ImportFrom):
+            base = cls._import_base(package, node)
+            if base is None:
+                return pairs
+            for alias in node.names:
+                if alias.name != "*":
+                    local = alias.asname or alias.name
+                    target = f"{base}.{alias.name}" if base else alias.name
+                    pairs.append((local, target))
+        return pairs
 
     @staticmethod
     def _import_base(package: str, node: ast.ImportFrom) -> Optional[str]:
@@ -444,8 +454,31 @@ class ProjectGraph:
         Nested functions and lambdas are attributed to the enclosing
         function: they are closures the function wires up (callbacks,
         signal handlers), so anything they touch is reachable once the
-        enclosing function ran.
+        enclosing function ran.  Imports made inside the function body
+        (lazy imports) bind names for this function only.
         """
+        mod = self.modules[module]
+        package = self._package_of(mod.parsed)
+        scoped = {
+            local: target
+            for node in ast.walk(func)
+            for local, target in self._import_bindings(package, node)
+        }
+        module_bindings = mod.bindings
+        mod.bindings = {**module_bindings, **scoped}
+        try:
+            self._scan_body(module, cls, func, attr_types)
+        finally:
+            mod.bindings = module_bindings
+
+    def _scan_body(
+        self,
+        module: str,
+        cls: Optional[ClassInfo],
+        func: ast.AST,
+        attr_types: Optional[Dict[str, str]],
+    ) -> None:
+        """Record call edges of ``func`` under the current bindings."""
         qname = (
             f"{cls.qname}.{func.name}"  # type: ignore[attr-defined]
             if cls is not None

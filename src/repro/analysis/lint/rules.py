@@ -548,9 +548,7 @@ _VALIDATION_PACKAGES = {
     "geometry",
     "designs",
     "valves",
-    "flowlayer",
     "flownet",
-    "synthesis",
     "selection",
     "grid",
     "analysis",

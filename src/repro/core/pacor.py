@@ -1602,15 +1602,18 @@ class PacorRouter:
                     self._rip_and_reroute(net, pending)
                     continue
                 if self.grid.layers == 1:
+                    cause = (
+                        "walled in by unrippable channels"
+                        if available
+                        else "no free control pin left"
+                    )
                     self._incident(
                         "force-completion",
                         "net-failure",
-                        "walled in by unrippable channels; giving up",
+                        f"{cause}; giving up",
                         net_id=net_id,
                     )
-                    self._failure_reasons[net_id] = (
-                        "walled in by unrippable channels"
-                    )
+                    self._failure_reasons[net_id] = cause
                     hopeless.add(net_id)
                     continue
                 # The probe is planar and cannot see over-the-wall via

@@ -199,7 +199,8 @@ def generate_design(
         width, height: grid dimensions.
         clusters: planned multi-valve clusters (length-matching).
         n_singletons: additional single-valve nets.
-        n_pins: candidate control pins, spread evenly along the boundary.
+        n_pins: candidate control pins, spread evenly along the boundary
+            (0 gives a design with no control pins).
         n_obstacles: number of blocked cells.
         seed: RNG seed — equal seeds give identical designs.
         time_steps: activation-sequence length.
@@ -296,9 +297,12 @@ def generate_design(
 
     # Control pins: evenly spread over the free boundary cells.
     boundary = [p for p in grid.boundary_cells() if grid.is_free(p)]
-    if n_pins > len(boundary):
-        raise ValueError(f"design {name}: {n_pins} pins exceed free boundary cells")
-    stride = len(boundary) / n_pins
+    if not 0 <= n_pins <= len(boundary):
+        raise ValueError(
+            f"design {name}: {n_pins} pins outside 0..{len(boundary)} "
+            f"free boundary cells"
+        )
+    stride = len(boundary) / max(n_pins, 1)
     pins = [boundary[int(i * stride)] for i in range(n_pins)]
 
     design = Design(

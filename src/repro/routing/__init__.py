@@ -15,7 +15,6 @@ This package implements every router the PACOR flow needs:
 from repro.routing.astar import astar_route
 from repro.routing.bounded import bounded_length_route, extend_path_with_bumps
 from repro.routing.lee import lee_route
-from repro.routing.steiner import rectilinear_steiner_tree, steiner_heuristic_length
 from repro.routing.mst import MstRoutingResult, manhattan_mst, route_cluster_mst
 from repro.routing.negotiation import NegotiationResult, NegotiationRouter, RouteRequest
 from repro.routing.path import Path
@@ -32,6 +31,4 @@ __all__ = [
     "bounded_length_route",
     "extend_path_with_bumps",
     "lee_route",
-    "rectilinear_steiner_tree",
-    "steiner_heuristic_length",
 ]

@@ -24,7 +24,6 @@ from repro.selection.costs import (
     tree_overlap_cost,
 )
 from repro.selection.mwcp import SelectionInstance, build_clique_graph
-from repro.selection.qubo import build_qubo, solve_qubo_annealing
 from repro.selection.solvers import (
     SelectionResult,
     solve_exact,
@@ -42,6 +41,4 @@ __all__ = [
     "solve_exact",
     "solve_greedy",
     "solve_local_search",
-    "build_qubo",
-    "solve_qubo_annealing",
 ]

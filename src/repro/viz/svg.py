@@ -30,15 +30,12 @@ def render_svg(
     result: Optional[PacorResult] = None,
     *,
     cell: int = 6,
-    flow=None,
 ) -> str:
     """Return an SVG document showing obstacles, valves, pins and channels.
 
     Channels are drawn as one polyline per drawn segment chain; each net
     gets a palette colour (cycled).  ``cell`` is the pixel size per grid
-    cell.  Pass a :class:`~repro.flowlayer.channels.FlowLayer` as
-    ``flow`` to draw the flow channels underneath in light blue (the
-    two-layer view of Fig. 1).
+    cell.
 
     Multi-layer designs render one panel per routing layer, left to
     right; a via is marked as a colour-ringed dot on *both* panels of
@@ -65,18 +62,7 @@ def render_svg(
                 f'<rect x="{xoff(z)}" y="0" width="{panel_w}" '
                 f'height="{height}" fill="none" stroke="#dddddd"/>'
             )
-    if flow is not None:
-        for channel in flow.channels:
-            for p in channel.cells:
-                parts.append(
-                    f'<rect x="{p.x * cell}" y="{p.y * cell}" width="{cell}" '
-                    f'height="{cell}" fill="#bcd9f2"/>'
-                )
     for p in grid.obstacle_cells():
-        if flow is not None and any(
-            p in c.cell_set() for c in flow.channels
-        ):
-            continue  # drawn as a flow cell already
         parts.append(
             f'<rect x="{xoff(_z(p)) + p[0] * cell}" y="{p[1] * cell}" '
             f'width="{cell}" height="{cell}" fill="#333333"/>'

@@ -150,6 +150,31 @@ def test_reachability_walk(make_project):
     assert "repro.mod.unreachable" not in reached
 
 
+def test_function_local_imports_bind_for_that_function_only(make_project):
+    root = make_project(
+        {
+            "src/repro/m.py": """\
+            def f():
+                return 0
+            """,
+            "src/repro/user.py": """\
+            def lazy():
+                from repro.m import f
+                return f()
+
+            def other():
+                return f()
+            """,
+        }
+    )
+    graph = _graph(root)
+    assert graph.calls["repro.user.lazy"] == {"repro.m.f"}
+    assert "repro.m.f" in graph.reachable(["repro.user.lazy"])
+    # The lazy import does not leak into the module's other functions.
+    assert graph.calls["repro.user.other"] == set()
+    assert "f" not in graph.modules["repro.user"].bindings
+
+
 def test_mutable_globals_and_self_attr_types(make_project):
     root = make_project(
         {

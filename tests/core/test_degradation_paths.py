@@ -2,12 +2,16 @@
 
 Covers the recovery machinery directly: candidate retry after a
 negotiation failure, LM demotion, and the force-completion "walled in"
-branch that gives a net up instead of looping.
+branch that gives a net up instead of looping, including the reason it
+reports when every control pin is taken.
 """
+
+from dataclasses import replace
 
 from repro.core.config import PacorConfig
 from repro.core.pacor import PacorRouter
-from repro.designs import Design
+from repro.core.pipeline import run_pacor
+from repro.designs import ClusterPlan, Design, generate_design
 from repro.dme import generate_candidates
 from repro.geometry import Point
 from repro.grid import RoutingGrid
@@ -148,3 +152,35 @@ def test_walled_in_net_yields_degraded_result_end_to_end():
     report = result.nets[0]
     assert not report.routed
     assert report.failure_reason and "walled in" in report.failure_reason
+
+
+def pin_starved_design():
+    """Six nets on a generated 30x30 chip with only two control pins."""
+    return generate_design(
+        "starved",
+        30,
+        30,
+        clusters=[ClusterPlan(3), ClusterPlan(2)],
+        n_singletons=4,
+        n_pins=2,
+        n_obstacles=4,
+        seed=1,
+    )
+
+
+def test_pin_exhaustion_is_not_reported_as_walled_in():
+    result = run_pacor(pin_starved_design())
+    failed = [n for n in result.nets if not n.routed]
+    assert len(failed) == 4
+    assert {n.failure_reason for n in failed} == {"no free control pin left"}
+    assert {
+        i.message for i in result.incidents if i.kind == "net-failure"
+    } == {"no free control pin left; giving up"}
+
+
+def test_design_without_pins_reports_pin_exhaustion_for_every_net():
+    result = run_pacor(replace(pin_starved_design(), control_pins=[]))
+    assert len(result.nets) == 6
+    assert {n.failure_reason for n in result.nets} == {
+        "no free control pin left"
+    }

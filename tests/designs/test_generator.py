@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.pipeline import METHODS, run_method
 from repro.designs import ClusterPlan, generate_design
 from repro.designs.generator import _base_sequences
 from repro.valves import cluster_valves
@@ -98,6 +99,26 @@ def test_obstacle_margin_keeps_boundary_clear():
     design = small_design(n_obstacles=40)
     for p in design.grid.boundary_cells():
         assert not design.grid.is_obstacle(p)
+
+
+def test_zero_pins_gives_a_pinless_design():
+    design = small_design(n_pins=0)
+    assert design.control_pins == []
+    # The pin step draws no random numbers: valves and obstacles match.
+    reference = small_design()
+    assert design.valves == reference.valves
+    assert set(design.grid.obstacle_cells()) == set(reference.grid.obstacle_cells())
+    for method in METHODS:
+        result = run_method(design, method)
+        assert result.nets
+        assert {n.failure_reason for n in result.nets} == {
+            "no free control pin left"
+        }, method
+
+
+def test_negative_pins_rejected():
+    with pytest.raises(ValueError):
+        small_design(n_pins=-1)
 
 
 def test_too_many_pins_rejected():
