@@ -32,7 +32,7 @@ from repro.robustness.errors import (
     FlowDecompositionError,
     KernelPreconditionError,
 )
-from repro.routing.core.engine import _nbr_table
+from repro.routing.core.engine import neighbour_table
 from repro.routing.path import Path
 
 
@@ -130,10 +130,11 @@ def solve_escape(
     # Usable cells in deterministic row-major order, keyed by flat cell
     # id (the kernel core's representation — the flow decomposition below
     # walks cells per step, so lookups stay int-keyed).  ``kof[cid]`` is
-    # the usable index of cell ``cid``, -1 when unusable.
+    # the usable index of cell ``cid``, -1 when unusable; the extra slot
+    # at ``size`` is the guard a ``-1`` neighbour-table entry wraps onto.
     uids = np.flatnonzero(usable_mask)
     n_cells = int(uids.size)
-    kof = np.full(size, -1, dtype=np.int64)
+    kof = np.full(size + 1, -1, dtype=np.int64)
     kof[uids] = np.arange(n_cells, dtype=np.int64)
 
     # Node layout: in(k) = 2k, out(k) = 2k + 1, then S, T, selectors.
@@ -158,9 +159,8 @@ def solve_escape(
         np.ones(n_cells, dtype=np.int64),
         np.zeros(n_cells, dtype=np.float64),
     )
-    cand = _nbr_table(width, height)[uids].astype(np.int64)
-    in_range = (cand >= 0) & (cand < size)
-    kq = np.where(in_range, kof[np.where(in_range, cand, 0)], -1)
+    cand = neighbour_table(width, height)[uids].astype(np.int64)
+    kq = kof[cand]
     edge_mask = kq >= 0
     arc_from = np.repeat(ks, 4).reshape(n_cells, 4)[edge_mask]
     arc_kq = kq[edge_mask]

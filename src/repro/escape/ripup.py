@@ -22,7 +22,7 @@ import numpy as np
 from repro.geometry.point import Point
 from repro.grid.grid import RoutingGrid
 from repro.grid.occupancy import FREE, Occupancy
-from repro.routing.core.engine import _nbr_table
+from repro.routing.core.engine import neighbour_table
 
 _RIP_PENALTY = 1000.0
 """Probe cost for entering a cell owned by a rippable net."""
@@ -94,9 +94,9 @@ def find_blocking_nets(
     # Per-cell probe cost, fused once instead of per neighbour visit:
     # free cells cost 1, rippable-owned cells carry the rip penalty, and
     # everything impassable (obstacle / protected owner / permanent
-    # occupied cell / off-grid guard slot, see engine._GUARD_NOTE) holds
-    # -1 so one sign test replaces the old step_cost call.
-    cost = np.full(size + width, -1.0, dtype=np.float64)
+    # occupied cell / the off-grid guard slot, see engine._GUARD_NOTE)
+    # holds -1 so one sign test replaces the old step_cost call.
+    cost = np.full(size + 1, -1.0, dtype=np.float64)
     step = cost[:size]
     owned = owner_arr != FREE
     step[~owned] = 1.0
@@ -110,7 +110,7 @@ def find_blocking_nets(
                     step[pid] = -1.0
     step[grid.obstacle_mask().view(np.bool_)] = -1.0
     cost_mv = cost.data
-    nbr_mv = memoryview(_nbr_table(width, height).reshape(-1))
+    nbr_mv = memoryview(neighbour_table(width, height).reshape(-1))
 
     best: Dict[int, float] = {}
     parent: Dict[int, int] = {}
@@ -135,7 +135,7 @@ def find_blocking_nets(
             break
         base = 4 * p
         # Neighbour order East, West, South, North, as everywhere in the
-        # kernel core (off-chip steps land on -1 guard-cost slots).
+        # kernel core (off-chip steps land on the -1 guard-cost slot).
         for k in range(4):
             q = nbr_mv[base + k]
             c = cost_mv[q]

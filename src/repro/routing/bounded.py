@@ -27,6 +27,7 @@ from repro.grid.grid import RoutingGrid
 from repro.grid.occupancy import FREE, Occupancy
 from repro.robustness.errors import KernelPreconditionError
 from repro.routing.core import bounded_search, query_space
+from repro.routing.core.engine import neighbour_table
 from repro.routing.path import Path
 
 
@@ -136,10 +137,12 @@ def extend_path_with_bumps(
         extra_obstacle_ids=extra_obstacle_ids,
     )
     width = space.width
-    height = space.height
-    planar = space.layers == 1
-    size = space.size
     blocked = memoryview(space.blocked)
+    table = neighbour_table(
+        width, space.height, space.layers, space.grid.via_mask()
+    )
+    ncols = table.shape[1]
+    nbr_mv = memoryview(table.reshape(-1))
 
     cells: List[int] = [space.index(p) for p in path.cells]
     used: Set[int] = set(cells)
@@ -148,46 +151,21 @@ def extend_path_with_bumps(
         inserted = False
         for i in range(len(cells) - 1):
             a, b = cells[i], cells[i + 1]
-            # Perpendicular offsets to the step a -> b, in the same
-            # probe order the Point-based fallback used: for a
-            # horizontal step try South (+width) then North (-width),
-            # for a vertical step East (+1) then West (-1).  A None
-            # marks an off-chip probe (column edge for East/West; the
-            # row bound check below handles South/North).  On multi-
-            # layer grids row bounds must be explicit (a raw ±width
-            # would wrap across layers) and via steps take no planar
-            # bump at all.
-            if planar:
-                if b == a + 1 or b == a - 1:
-                    perps = (width, -width)
-                else:
-                    xa = a % width
-                    perps = (
-                        1 if xa + 1 < width else None,
-                        -1 if xa else None,
-                    )
+            # Perpendicular neighbour-table columns for the step a -> b,
+            # in the same probe order the Point-based fallback used: for
+            # a horizontal step try South then North, for a vertical step
+            # East then West.  Via steps take no planar bump at all.
+            d = b - a
+            if d == 1 or d == -1:
+                perps = (2, 3)
+            elif d == width or d == -width:
+                perps = (0, 1)
             else:
-                d = b - a
-                if d == 1 or d == -1:
-                    ya = (a // width) % height
-                    perps = (
-                        width if ya + 1 < height else None,
-                        -width if ya else None,
-                    )
-                elif d == width or d == -width:
-                    xa = a % width
-                    perps = (
-                        1 if xa + 1 < width else None,
-                        -1 if xa else None,
-                    )
-                else:
-                    perps = ()
-            for n in perps:
-                if n is None:
-                    continue
-                an = a + n
-                bn = b + n
-                if not (0 <= an < size and 0 <= bn < size):
+                perps = ()
+            for k in perps:
+                an = nbr_mv[ncols * a + k]
+                bn = nbr_mv[ncols * b + k]
+                if an < 0 or bn < 0:  # off-chip probe
                     continue
                 if an in used or bn in used:
                     continue

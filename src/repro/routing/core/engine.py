@@ -5,30 +5,44 @@ point/path and path/path A* (and Algorithm 1's inner search, which adds
 negotiation history costs), the Lee wave-propagation oracle, and §6's
 bounded-length modified A*.  Every search here operates purely on
 ``int`` cell ids over a :class:`~repro.routing.core.space.SearchSpace`
-blocked-mask — neighbours are ``±1`` / ``±width`` arithmetic, routability
-is one mask read, and ``Point`` objects only reappear when the caller
+blocked-mask — neighbours come from one cached table, routability is
+one mask read, and ``Point`` objects only reappear when the caller
 materialises the returned id path.
 
-Two engines back :func:`astar_search`.  Unit-cost queries (no history
-surcharge, no budget limit to enforce mid-bucket) run the *vectorised
-wave* engine: the open set is a heap of ``(f, g)`` bucket keys, each
-bucket holding ndarray chunks of cell ids in push order, and a whole
-bucket's frontier is expanded with batched numpy gathers — neighbour
-generation, blocking, relaxation and first-arrival dedup are all
-C-speed array ops.  History-weighted or budget-limited queries run the
-*scalar* heap engine (also the reference implementation the property
-tests compare against), which keeps the classic per-cell loop but reads
-the mask through a ``memoryview`` and looks heuristics up in a
-precomputed ndarray table.  Both engines produce bit-identical paths
-and counters: bucket FIFO order equals the scalar heap's
-``(f, g, tie)`` order because ties only ever break by push time, and
-first-occurrence ``np.unique`` dedup equals scalar first-relax-wins.
+There is one engine per search kind, and every engine is driven by the
+same three inputs, whatever the grid's layer count:
+
+* the **neighbour table** (:func:`neighbour_table`): row ``p`` lists the
+  E/W/S/N candidates — plus Up/Down on a multi-layer grid — with every
+  invalid move an explicit ``-1``;
+* a per-direction **step-cost tuple**: planar moves cost 1, vertical
+  moves ``grid.via_cost`` in A* and ``grid.via_length`` in bounded
+  search;
+* one memoised **heuristic table** (:func:`_heuristic_table`): planar
+  L1 to the target bounding box plus the vertical step cost times the
+  layer distance.
+
+Two engines back :func:`astar_search`.  When every step costs 1 (no
+history surcharge, unit via cost) the *vectorised wave* engine runs:
+the open set is a heap of ``(f, g)`` bucket keys, each bucket holding
+ndarray chunks of cell ids in push order, and a whole bucket's frontier
+is expanded with batched numpy gathers — neighbour generation,
+blocking, relaxation and first-arrival dedup are all C-speed array ops.
+Otherwise the *scalar* heap engine runs (also the reference the
+property tests compare against): the classic per-cell loop, reading
+the mask through a ``memoryview`` and heuristics from the table.  Both
+produce bit-identical paths and counters on unit-cost queries: bucket
+FIFO order equals the scalar heap's ``(f, g, tie)`` order because ties
+only ever break by push time, and first-occurrence dedup equals scalar
+first-relax-wins.
 
 Semantics are pinned to the pre-refactor kernels:
 
-* neighbour order is East, West, South, North (the order
-  ``Point.neighbors4`` yielded), so tie-breaks — and therefore the
-  returned paths — are bit-identical;
+* neighbour order is East, West, South, North, then Up, Down (the
+  order ``Point.neighbors4`` yielded), so tie-breaks — and therefore
+  the returned paths — are bit-identical;
+* a history-weighted step costs ``g + (step + history[q])``, the
+  planar float association;
 * ``astar.expansions`` charges one per settled non-target cell, through
   :meth:`~repro.robustness.budget.Budget.charge_expansions` when a
   budget is present (the budget's shared counter stays the single
@@ -74,108 +88,181 @@ roughly a dozen cells the plain Python loop over the same state arrays
 is cheaper.  Both paths settle cells in identical order, so the
 threshold is pure tuning."""
 
-_GUARD_NOTE = """Guard-row indexing convention.
+_GUARD_NOTE = """Guard-slot indexing convention.
 
-Wave-engine state arrays are allocated ``size + width`` long: the last
-``width`` slots are a guard zone holding the blocked sentinel.  Every
-off-chip neighbour candidate then lands in the guard without a bounds
-test: a south step from the last row computes ``p + width`` in
-``[size, size + width)`` directly; a north step from row 0 computes a
-negative id in ``[-width, -1]``, which numpy fancy indexing (and Python
-``memoryview`` indexing) wraps to the guard zone; east/west steps off
-the column edges are stored as ``-1`` in the neighbour table, wrapping
-to the guard's last slot.  Blocked cells hold the same sentinel, so one
-``best_g > g'`` comparison implements bounds + blocked + relaxation."""
+Every invalid move in the neighbour table — off a column edge, off a
+row edge, off the top or bottom layer, or through a via keep-out — is
+an explicit ``-1``.  Engine work arrays are therefore allocated
+``size + 1`` long: the one extra slot at index ``size`` holds the
+blocked sentinel, and a ``-1`` candidate wraps onto it under numpy
+fancy indexing and Python ``memoryview`` indexing alike.  Blocked cells
+hold the same sentinel, so one ``best_g[q]`` read folds the bounds
+test, the blocked test and the relaxation test into a single compare."""
 
 
-_NBR_TABLES: Dict[Tuple[int, int], "np.ndarray"] = {}
-"""Per-(width, height) neighbour table: row ``p`` = E/W/S/N candidates.
+_NBR_TABLES: Dict[Tuple, "np.ndarray"] = {}
+"""Neighbour tables: row ``p`` = E/W/S/N (then U/D) candidate ids.
 
-E/W hold ``-1`` where the step leaves the column range; S/N hold the
-raw ``p ± width``, resolved by the guard zone (see ``_GUARD_NOTE``)."""
+Keyed by ``(width, height)`` on a planar grid; a multi-layer key adds
+the layer count and the grid's planar via-permission mask (as raw
+bytes), so a carved via keep-out can never alias a stale table."""
 
-_NBR3_TABLES: Dict[Tuple[int, int, int, bytes], "np.ndarray"] = {}
-"""Multi-layer neighbour tables: row ``p`` = E/W/S/N/U/D candidates.
+_NBR_CACHE_MAX = 8
 
-Unlike the planar table, *every* invalid move is an explicit ``-1``
-(S/N included — ``p ± width`` would silently wrap across layers), so
-3D state arrays need only a single guard slot at index ``size``.  U/D
-are gated by the grid's planar via-permission mask, which is part of
-the cache key (as raw bytes) so a carved via keep-out can never alias
-a stale table."""
-
-_NBR3_CACHE_MAX = 8
-
-_HTAB_CACHE: Dict[Tuple[int, int, int, int, int, int], "np.ndarray"] = {}
-"""Memoised heuristic tables keyed by (width, height, target bbox)."""
+_HTAB_CACHE: Dict[Tuple, "np.ndarray"] = {}
+"""Memoised heuristic tables keyed by grid shape, target bbox and step."""
 
 _HTAB_CACHE_MAX = 128
 
+_PENALTY_WEIGHT = 2.0
+"""Bounded search: F-value penalty per missing length unit below the bound."""
 
-def _nbr_table(width: int, height: int) -> "np.ndarray":
-    """Return the cached ``(size, 4)`` E/W/S/N neighbour-id table."""
-    table = _NBR_TABLES.get((width, height))
-    if table is None:
-        size = width * height
-        ids = np.arange(size, dtype=np.int32)
-        table = np.empty((size, 4), dtype=np.int32)
-        table[:, 0] = ids + 1
-        table[:, 1] = ids - 1
-        table[:, 2] = ids + width
-        table[:, 3] = ids - width
-        xs = ids % width
-        table[xs == width - 1, 0] = -1
-        table[xs == 0, 1] = -1
-        _NBR_TABLES[(width, height)] = table
-    return table
+Cell = Tuple[int, int]
+"""An ``(x, y)`` cell at the engine boundary (``Point`` unpacks to one).
+
+Multi-layer queries may pass ``(x, y, z)`` triples; a 2-tuple is always
+layer 0 (the canonical mixed-arity cell rule)."""
 
 
-def _nbr_table3(
-    width: int, height: int, layers: int, via_mask: "np.ndarray"
+def neighbour_table(
+    width: int,
+    height: int,
+    layers: int = 1,
+    via_mask: Optional["np.ndarray"] = None,
 ) -> "np.ndarray":
-    """Return the cached ``(size, 6)`` E/W/S/N/U/D neighbour-id table."""
-    key = (width, height, layers, via_mask.tobytes())
-    table = _NBR3_TABLES.get(key)
+    """Return the cached neighbour-id table (see ``_GUARD_NOTE``).
+
+    The table is ``(size, 4)`` (E/W/S/N) on a planar grid and
+    ``(size, 6)`` (E/W/S/N/U/D) otherwise; U/D are gated by
+    ``via_mask``, the grid's planar via-permission mask (unused, and
+    not part of the cache key, on a planar grid).
+    """
+    if layers == 1:
+        key: Tuple = (width, height)
+    else:
+        key = (width, height, layers, via_mask.tobytes())
+    table = _NBR_TABLES.get(key)
     if table is None:
-        if len(_NBR3_TABLES) >= _NBR3_CACHE_MAX:
-            _NBR3_TABLES.clear()
+        if len(_NBR_TABLES) >= _NBR_CACHE_MAX:
+            _NBR_TABLES.clear()
         plane = width * height
-        size = plane * layers
-        ids = np.arange(size, dtype=np.int32)
-        table = np.empty((size, 6), dtype=np.int32)
-        table[:, 0] = ids + 1
-        table[:, 1] = ids - 1
-        table[:, 2] = ids + width
-        table[:, 3] = ids - width
-        table[:, 4] = ids + plane
-        table[:, 5] = ids - plane
+        ids = np.arange(plane * layers, dtype=np.int32)
+        table = np.empty((ids.size, 4 if layers == 1 else 6), dtype=np.int32)
         xs = ids % width
         ys = (ids // width) % height
-        zs = ids // plane
-        table[xs == width - 1, 0] = -1
-        table[xs == 0, 1] = -1
-        table[ys == height - 1, 2] = -1
-        table[ys == 0, 3] = -1
-        no_via = np.tile(via_mask == 0, layers)
-        table[(zs == layers - 1) | no_via, 4] = -1
-        table[(zs == 0) | no_via, 5] = -1
-        _NBR3_TABLES[key] = table
+        table[:, 0] = np.where(xs == width - 1, -1, ids + 1)
+        table[:, 1] = np.where(xs == 0, -1, ids - 1)
+        table[:, 2] = np.where(ys == height - 1, -1, ids + width)
+        table[:, 3] = np.where(ys == 0, -1, ids - width)
+        if layers > 1:
+            zs = ids // plane
+            no_via = np.tile(via_mask == 0, layers)
+            table[:, 4] = np.where((zs == layers - 1) | no_via, -1, ids + plane)
+            table[:, 5] = np.where((zs == 0) | no_via, -1, ids - plane)
+        _NBR_TABLES[key] = table
     return table
 
 
-def _htab_cached(
-    width: int, height: int, xlo: int, xhi: int, ylo: int, yhi: int
+def _space_table(space: SearchSpace) -> "np.ndarray":
+    """Return the neighbour table for ``space``'s grid."""
+    return neighbour_table(
+        space.width, space.height, space.layers, space.grid.via_mask()
+    )
+
+
+def _steps(space: SearchSpace, vertical: int) -> Tuple[int, ...]:
+    """Return the per-direction step costs matching the neighbour table."""
+    if space.layers == 1:
+        return (1, 1, 1, 1)
+    return (1, 1, 1, 1, vertical, vertical)
+
+
+def _heuristic_table(
+    width: int,
+    height: int,
+    layers: int,
+    bbox: Tuple[int, int, int, int, int, int],
+    step_z: int,
 ) -> "np.ndarray":
-    """Memoised :func:`_heuristic_table` (negotiation re-queries the same
-    edges every rip-up round)."""
-    key = (width, height, xlo, xhi, ylo, yhi)
+    """Return the memoised per-cell lower bound to the target bbox (int32).
+
+    Each search step either shrinks the planar distance by at most 1 (at
+    cost 1) or the layer distance by at most 1 (at cost ``step_z``), so
+    ``planar_L1 + step_z * z_distance`` is an admissible, consistent
+    bound whenever ``step_z`` is the true vertical step cost.  On a
+    planar grid (targets on layer 0) it is the plain bbox L1.
+    Negotiation re-queries the same edges every rip-up round, hence the
+    memo.
+    """
+    key = (width, height, layers, *bbox, step_z)
     table = _HTAB_CACHE.get(key)
     if table is None:
         if len(_HTAB_CACHE) >= _HTAB_CACHE_MAX:
             _HTAB_CACHE.clear()
-        table = _heuristic_table(width, height, xlo, xhi, ylo, yhi)
+        xlo, xhi, ylo, yhi, zlo, zhi = bbox
+        xs = np.arange(width, dtype=np.int32)
+        hx = np.maximum(xlo - xs, 0) + np.maximum(xs - xhi, 0)
+        ys = np.arange(height, dtype=np.int32)
+        hy = np.maximum(ylo - ys, 0) + np.maximum(ys - yhi, 0)
+        hxy = (hy[:, None] + hx[None, :]).reshape(-1)
+        zs = np.arange(layers, dtype=np.int32)
+        hz = (np.maximum(zlo - zs, 0) + np.maximum(zs - zhi, 0)) * np.int32(
+            step_z
+        )
+        table = np.ascontiguousarray((hz[:, None] + hxy[None, :]).reshape(-1))
         _HTAB_CACHE[key] = table
     return table
+
+
+def _cell3(c: Cell) -> Tuple[int, int, int]:
+    """Normalise a mixed-arity cell to an ``(x, y, z)`` triple."""
+    if len(c) == 3:
+        return (c[0], c[1], c[2])
+    return (c[0], c[1], 0)
+
+
+def _cell_ids(
+    space: SearchSpace, cells: Iterable[Tuple[int, int, int]]
+) -> List[int]:
+    """Return the ids of the on-chip ``(x, y, z)`` cells, in order."""
+    width = space.width
+    height = space.height
+    layers = space.layers
+    plane = space.plane
+    return [
+        z * plane + y * width + x
+        for x, y, z in cells
+        if 0 <= x < width and 0 <= y < height and 0 <= z < layers
+    ]
+
+
+def _target_setup(
+    space: SearchSpace, target_xyz: set
+) -> Tuple[set, Tuple[int, int, int, int, int, int]]:
+    """Return (on-chip target ids, heuristic bbox) for a target set.
+
+    Membership is tested on settled (on-chip) cells only, so off-chip
+    targets never match — but they do stretch the heuristic bounding
+    box, exactly as they did pre-refactor.
+    """
+    xlo = min(t[0] for t in target_xyz)
+    xhi = max(t[0] for t in target_xyz)
+    ylo = min(t[1] for t in target_xyz)
+    yhi = max(t[1] for t in target_xyz)
+    zlo = min(t[2] for t in target_xyz)
+    zhi = max(t[2] for t in target_xyz)
+    return set(_cell_ids(space, target_xyz)), (xlo, xhi, ylo, yhi, zlo, zhi)
+
+
+def _trace_back(parent_mv: memoryview, t: int) -> List[int]:
+    """Return the root-to-``t`` id path along ``parent`` (root = -1)."""
+    ids = [t]
+    back = parent_mv[t]
+    while back >= 0:
+        ids.append(back)
+        back = parent_mv[back]
+    ids.reverse()
+    return ids
 
 
 def _charge_exact(budget: Budget, n: int) -> None:
@@ -190,93 +277,6 @@ def _charge_exact(budget: Budget, n: int) -> None:
             budget.charge_expansions(1)
         return
     budget.charge_expansions(n)
-
-_PENALTY_WEIGHT = 2.0
-"""Bounded search: F-value penalty per missing length unit below the bound."""
-
-Cell = Tuple[int, int]
-"""An ``(x, y)`` cell at the engine boundary (``Point`` unpacks to one).
-
-Multi-layer queries may pass ``(x, y, z)`` triples; a 2-tuple is always
-layer 0 (the canonical mixed-arity cell rule)."""
-
-
-def _heuristic_table(
-    width: int, height: int, xlo: int, xhi: int, ylo: int, yhi: int
-) -> "np.ndarray":
-    """Return the per-cell L1 distance to the target bounding box (int32)."""
-    xs = np.arange(width, dtype=np.int32)
-    hx = np.maximum(xlo - xs, 0) + np.maximum(xs - xhi, 0)
-    ys = np.arange(height, dtype=np.int32)
-    hy = np.maximum(ylo - ys, 0) + np.maximum(ys - yhi, 0)
-    return np.ascontiguousarray((hy[:, None] + hx[None, :]).reshape(-1))
-
-
-def _heuristic_table3(
-    width: int,
-    height: int,
-    layers: int,
-    bbox: Tuple[int, int, int, int, int, int],
-    step_z: int,
-) -> "np.ndarray":
-    """Return the layered heuristic table: planar bbox L1 + weighted z.
-
-    Each search step either shrinks the planar distance by at most 1 (at
-    cost 1) or the layer distance by at most 1 (at cost ``step_z``), so
-    ``planar_L1 + step_z * z_distance`` is an admissible, consistent
-    lower bound whenever ``step_z`` is the true vertical step cost.
-    Memoised alongside the planar tables (the key arities differ, so the
-    two families never collide).
-    """
-    xlo, xhi, ylo, yhi, zlo, zhi = bbox
-    key = (width, height, layers, xlo, xhi, ylo, yhi, zlo, zhi, step_z)
-    table = _HTAB_CACHE.get(key)
-    if table is None:
-        if len(_HTAB_CACHE) >= _HTAB_CACHE_MAX:
-            _HTAB_CACHE.clear()
-        hxy = _heuristic_table(width, height, xlo, xhi, ylo, yhi)
-        zs = np.arange(layers, dtype=np.int32)
-        hz = (np.maximum(zlo - zs, 0) + np.maximum(zs - zhi, 0)) * np.int32(
-            step_z
-        )
-        table = np.ascontiguousarray(
-            (hz[:, None] + hxy[None, :]).reshape(-1)
-        )
-        _HTAB_CACHE[key] = table
-    return table
-
-
-def _cell3(c: Cell) -> Tuple[int, int, int]:
-    """Normalise a mixed-arity cell to an ``(x, y, z)`` triple."""
-    if len(c) == 3:
-        return (c[0], c[1], c[2])
-    return (c[0], c[1], 0)
-
-
-def _target_setup3(
-    space: SearchSpace, target_xyz: set
-) -> Tuple[set, Tuple[int, int, int, int, int, int]]:
-    """Return (on-chip target ids, heuristic bbox) for 3D targets.
-
-    The 3D analogue of :func:`_target_setup`: membership is tested on
-    settled cells only, off-chip targets just stretch the bounding box.
-    """
-    width = space.width
-    height = space.height
-    layers = space.layers
-    plane = space.plane
-    target_ids = {
-        z * plane + y * width + x
-        for x, y, z in target_xyz
-        if 0 <= x < width and 0 <= y < height and 0 <= z < layers
-    }
-    xlo = min(t[0] for t in target_xyz)
-    xhi = max(t[0] for t in target_xyz)
-    ylo = min(t[1] for t in target_xyz)
-    yhi = max(t[1] for t in target_xyz)
-    zlo = min(t[2] for t in target_xyz)
-    zhi = max(t[2] for t in target_xyz)
-    return target_ids, (xlo, xhi, ylo, yhi, zlo, zhi)
 
 
 def astar_search(
@@ -318,86 +318,53 @@ def astar_search(
             used=budget.expansions_used,
             stage="astar",
         )
-    if space.layers > 1:
-        target_xyz = {_cell3(t) for t in targets}
-        source_xyz = [_cell3(s) for s in sources]
-        if not target_xyz or not source_xyz:
-            return None
-        if history is None and space.grid.via_cost == 1:
-            # Unit costs in every direction: the (f, g) integer-bucket
-            # wave engine applies unchanged to the 6-neighbour topology.
-            return _astar_wave3(
-                space, source_xyz, target_xyz, max_expansions, budget
-            )
-        # Weighted via steps (or history floats) break integer
-        # bucketing; the scalar heap handles both.
-        return _astar_scalar3(
-            space, source_xyz, target_xyz, history, max_expansions, budget
-        )
-    target_xy = {(t[0], t[1]) for t in targets}
-    source_list = [(s[0], s[1]) for s in sources]
-    if not target_xy or not source_list:
+    target_xyz = {_cell3(t) for t in targets}
+    source_xyz = [_cell3(s) for s in sources]
+    if not target_xyz or not source_xyz:
         return None
-    if history is None:
+    steps = _steps(space, space.grid.via_cost)
+    if history is None and all(step == 1 for step in steps):
         # Unit step costs: the vectorised wave engine settles whole
         # (f, g) buckets per step.  Budget limits keep scalar-exact
         # exhaustion points via _charge_exact.
         return _astar_wave(
-            space, source_list, target_xy, max_expansions, budget
+            space, source_xyz, target_xyz, max_expansions, budget
         )
-    # History surcharges make step costs per-cell floats; (f, g) buckets
-    # degenerate to singletons there, so the scalar loop is the engine.
+    # History surcharges (or weighted via steps) make step costs floats;
+    # (f, g) buckets degenerate there, so the scalar loop is the engine.
     return _astar_scalar(
-        space, source_list, target_xy, history, max_expansions, budget
+        space, source_xyz, target_xyz, steps, history, max_expansions, budget
     )
-
-
-def _target_setup(
-    space: SearchSpace, target_xy: set
-) -> Tuple[set, int, int, int, int]:
-    """Return (on-chip target ids, heuristic bbox) for a target set.
-
-    Membership is tested on settled (on-chip) cells only, so off-chip
-    targets never match — but they do stretch the heuristic bounding
-    box, exactly as they did pre-refactor.
-    """
-    width = space.width
-    height = space.height
-    target_ids = {
-        y * width + x for x, y in target_xy if 0 <= x < width and 0 <= y < height
-    }
-    xlo = min(t[0] for t in target_xy)
-    xhi = max(t[0] for t in target_xy)
-    ylo = min(t[1] for t in target_xy)
-    yhi = max(t[1] for t in target_xy)
-    return target_ids, xlo, xhi, ylo, yhi
 
 
 def _astar_scalar(
     space: SearchSpace,
-    source_list: List[Cell],
-    target_xy: set,
+    source_xyz: List[Tuple[int, int, int]],
+    target_xyz: set,
+    steps: Tuple[int, ...],
     history: Optional[Sequence[float]],
     max_expansions: Optional[int],
     budget: Optional[Budget],
 ) -> Optional[List[int]]:
     """The reference heap engine: per-cell loop, exact budget semantics."""
-    width = space.width
-    height = space.height
     size = space.size
+    ncols = len(steps)
+    pairs = tuple((k, float(step)) for k, step in enumerate(steps))
 
-    target_ids, xlo, xhi, ylo, yhi = _target_setup(space, target_xy)
+    target_ids, bbox = _target_setup(space, target_xyz)
     # Heuristic lookups move out of the hot loop into one vectorised
     # table build; the int32 memoryview makes the per-push read a plain
     # C buffer index instead of an ndarray scalar access.
-    htab = _heuristic_table(width, height, xlo, xhi, ylo, yhi).data
-    nbr_mv = memoryview(_nbr_table(width, height).reshape(-1))
+    htab = _heuristic_table(
+        space.width, space.height, space.layers, bbox, steps[-1]
+    ).data
+    nbr_mv = memoryview(_space_table(space).reshape(-1))
 
-    # Guard-zone best-g array (see _GUARD_NOTE): blocked and off-grid
-    # slots hold -inf, so one ``best_g[q]`` read folds the bounds test,
+    # Guard-slot best-g array (see _GUARD_NOTE): blocked cells and the
+    # guard hold -inf, so one ``best_g[q]`` read folds the bounds test,
     # the blocked test and the relaxation test into a float compare.
-    best_g = np.full(size + width, _INF, dtype=np.float64)
-    best_g[size:] = -_INF
+    best_g = np.full(size + 1, _INF, dtype=np.float64)
+    best_g[size] = -_INF
     best_g[:size][space.blocked.view(np.bool_)] = -_INF
     bg_mv = best_g.data
     parent = np.empty(size, dtype=np.int32)
@@ -405,13 +372,10 @@ def _astar_scalar(
     heap: List[Tuple[float, float, int, int]] = []
     tie = 0
 
-    for x, y in source_list:
-        if not (0 <= x < width and 0 <= y < height):
-            continue
-        s = y * width + x
+    for s in _cell_ids(space, source_xyz):
         if bg_mv[s] == -_INF:
             continue
-        if (x, y) in target_xy:
+        if s in target_ids:
             return [s]
         bg_mv[s] = 0.0
         parent_mv[s] = -1
@@ -436,13 +400,7 @@ def _astar_scalar(
             if g > bg_mv[p]:
                 continue
             if p in target_ids:
-                ids = [p]
-                back = parent_mv[p]
-                while back >= 0:
-                    ids.append(back)
-                    back = parent_mv[back]
-                ids.reverse()
-                return ids
+                return _trace_back(parent_mv, p)
             if budget is not None:
                 budget.charge_expansions(1)
                 if (
@@ -454,17 +412,15 @@ def _astar_scalar(
                 expansions += 1
                 if max_expansions is not None and expansions > max_expansions:
                     return None
-            base = 4 * p
-            g1 = g + 1.0
-            # Neighbour order East, West, South, North; every off-chip or
-            # blocked candidate lands on a -inf best-g slot and is
-            # dropped before its history cost is even read.
-            for k in range(4):
+            base = ncols * p
+            # Every invalid or blocked candidate lands on a -inf best-g
+            # slot and is dropped before its history cost is even read.
+            for k, step in pairs:
                 q = nbr_mv[base + k]
                 bq = bg_mv[q]
                 if bq == ninf:
                     continue
-                ng = g1 if history is None else g + (1.0 + history[q])
+                ng = g + step if history is None else g + (step + history[q])
                 if ng < bq:
                     bg_mv[q] = ng
                     parent_mv[q] = p
@@ -481,22 +437,23 @@ def _astar_scalar(
 
 def _astar_wave(
     space: SearchSpace,
-    source_list: List[Cell],
-    target_xy: set,
+    source_xyz: List[Tuple[int, int, int]],
+    target_xyz: set,
     max_expansions: Optional[int],
     budget: Optional[Budget],
 ) -> Optional[List[int]]:
     """Vectorised unit-cost A*: settle whole (f, g) buckets per step.
 
-    Exactly equivalent to :func:`_astar_scalar` with ``history=None``:
+    Exactly equivalent to :func:`_astar_scalar` with ``history=None`` and
+    all-ones steps:
 
     * the scalar heap orders entries by ``(f, g, push-time)``; here the
       key heap orders ``(f, g)`` buckets and each bucket keeps push
       order, so the settle order is identical (all entries of a bucket
       are pushed before the first is popped — predecessors have
       strictly smaller ``(f, g)`` keys);
-    * within one batch, candidates are generated parent-major in
-      E/W/S/N order — the scalar push order — and the first-occurrence
+    * within one batch, candidates are generated parent-major in table
+      column order — the scalar push order — and the first-occurrence
       scatter dedup reproduces scalar first-relax-wins;
     * stale heap entries (cell relaxed to a smaller g after the push)
       are dropped by the ``best_g[cells] == g`` liveness filter, which
@@ -506,20 +463,19 @@ def _astar_wave(
       ``max_expansions`` fail-soft point land on exactly the same cell
       as the scalar loop.
 
-    State arrays carry a blocked-sentinel guard zone (``_GUARD_NOTE``),
+    State arrays carry the blocked-sentinel guard slot (``_GUARD_NOTE``),
     which folds the bounds test, the blocked test and the relaxation
     test into a single ``best_g[q] > g + 1`` comparison.  Buckets at or
     below ``_SMALL_BUCKET`` cells run a per-cell Python sub-loop over
     the same arrays instead of paying ~25 fixed numpy dispatches.
     """
-    width = space.width
     size = space.size
-    blocked = space.blocked
 
-    target_ids, xlo, xhi, ylo, yhi = _target_setup(space, target_xy)
-    htab = _htab_cached(width, space.height, xlo, xhi, ylo, yhi)
+    target_ids, bbox = _target_setup(space, target_xyz)
+    htab = _heuristic_table(space.width, space.height, space.layers, bbox, 1)
     htab_mv = htab.data
-    nbr = _nbr_table(width, space.height)
+    nbr = _space_table(space)
+    ncols = nbr.shape[1]
     nbr_flat_mv = nbr.reshape(-1).data
 
     # Target detection: with a handful of targets, a per-bucket Python
@@ -531,12 +487,12 @@ def _astar_wave(
         tmask = np.zeros(size, dtype=np.uint8)
         tmask[_as_ids(target_ids)] = 1
 
-    # best_g with guard zone: UNSEEN on open cells, -1 on blocked cells
+    # best_g with guard slot: UNSEEN on open cells, -1 on blocked cells
     # and the guard, so ``best_g[q] > ng`` is the whole neighbour test.
-    best_g = np.empty(size + width, dtype=np.int32)
+    best_g = np.empty(size + 1, dtype=np.int32)
     best_g[:size] = _UNSEEN32
-    best_g[size:] = -1
-    best_g[:size][blocked.view(np.bool_)] = -1
+    best_g[size] = -1
+    best_g[:size][space.blocked.view(np.bool_)] = -1
     bg_mv = best_g.data
     parent = np.empty(size, dtype=np.int32)
     parent_mv = parent.data
@@ -551,13 +507,10 @@ def _astar_wave(
     pop = heapq.heappop
     push = heapq.heappush
 
-    for x, y in source_list:
-        if not (0 <= x < width and 0 <= y < space.height):
-            continue
-        s = y * width + x
+    for s in _cell_ids(space, source_xyz):
         if bg_mv[s] == -1:
             continue
-        if (x, y) in target_xy:
+        if s in target_ids:
             return [s]
         best_g[s] = 0
         parent[s] = -1
@@ -599,13 +552,7 @@ def _astar_wave(
                     if bg_mv[p] != g:
                         continue
                     if p in target_ids:
-                        ids = [p]
-                        back = parent_mv[p]
-                        while back >= 0:
-                            ids.append(back)
-                            back = parent_mv[back]
-                        ids.reverse()
-                        return ids
+                        return _trace_back(parent_mv, p)
                     expansions += 1
                     if budget is not None:
                         budget.charge_expansions(1)
@@ -614,8 +561,8 @@ def _astar_wave(
                         and expansions > max_expansions
                     ):
                         return None
-                    base = 4 * p
-                    for k in range(4):
+                    base = ncols * p
+                    for k in range(ncols):
                         q = nbr_flat_mv[base + k]
                         if bg_mv[q] <= ng:
                             continue
@@ -667,14 +614,7 @@ def _astar_wave(
                     expansions += jt
                     if budget is not None:
                         _charge_exact(budget, jt)
-                t = int(live[jt])
-                ids = [t]
-                back = parent_mv[t]
-                while back >= 0:
-                    ids.append(back)
-                    back = parent_mv[back]
-                ids.reverse()
-                return ids
+                return _trace_back(parent_mv, int(live[jt]))
             settled = n_live if jt is None else jt
             if allowance is not None and settled > allowance:
                 charge = allowance + 1
@@ -687,8 +627,8 @@ def _astar_wave(
                 _charge_exact(budget, settled)
 
             # Expand the whole bucket: one 2D gather yields neighbours
-            # parent-major in E/W/S/N order; the guard zone absorbs
-            # off-chip candidates (see _GUARD_NOTE).
+            # parent-major in table column order; the guard slot absorbs
+            # invalid candidates (see _GUARD_NOTE).
             flat = nbr[live].reshape(-1)
             keep = (best_g[flat] > ng).nonzero()[0]
             if not keep.size:
@@ -703,7 +643,7 @@ def _astar_wave(
                 q = q[sel]
                 keep = keep[sel]
             best_g[q] = ng
-            parent[q] = live[keep >> 2]
+            parent[q] = live[keep // ncols]
             pushes += int(q.size)
             fq = htab[q] + ng
             fmin = int(fq.min())
@@ -711,7 +651,7 @@ def _astar_wave(
             if fmin == fmax:
                 _wave_push(buckets, tails, key_heap, (fmin, ng), q)
             else:
-                # The bbox-L1 heuristic moves at most 1 per step, so a
+                # The heuristic moves at most 1 per unit step, so a
                 # bucket spreads over at most f, f+1, f+2.
                 for fv in range(fmin, fmax + 1):
                     m2 = fq == fv
@@ -759,323 +699,6 @@ def _as_ids(ids: Iterable[int]) -> "np.ndarray":
     return np.fromiter(seq, dtype=np.int64, count=len(seq))
 
 
-def _astar_scalar3(
-    space: SearchSpace,
-    source_xyz: List[Tuple[int, int, int]],
-    target_xyz: set,
-    history: Optional[Sequence[float]],
-    max_expansions: Optional[int],
-    budget: Optional[Budget],
-) -> Optional[List[int]]:
-    """The scalar heap engine on the 6-neighbour multi-layer topology.
-
-    Mirrors :func:`_astar_scalar` with two differences: the neighbour
-    table carries explicit ``-1`` for *every* invalid move (so the
-    guard zone is a single sentinel slot at index ``size``), and the
-    two vertical moves cost ``grid.via_cost`` instead of 1.  Neighbour
-    order is E/W/S/N then Up/Down, so planar tie-breaks match the
-    single-layer engine.
-    """
-    grid = space.grid
-    width = space.width
-    height = space.height
-    layers = space.layers
-    plane = space.plane
-    size = space.size
-    via_cost = float(grid.via_cost)
-
-    target_ids, bbox = _target_setup3(space, target_xyz)
-    htab = _heuristic_table3(width, height, layers, bbox, grid.via_cost).data
-    nbr_mv = memoryview(
-        _nbr_table3(width, height, layers, grid.via_mask()).reshape(-1)
-    )
-
-    # Single guard slot: every invalid move is -1, which wraps to index
-    # ``size`` under memoryview indexing.
-    best_g = np.full(size + 1, _INF, dtype=np.float64)
-    best_g[size] = -_INF
-    best_g[:size][space.blocked.view(np.bool_)] = -_INF
-    bg_mv = best_g.data
-    parent = np.empty(size, dtype=np.int32)
-    parent_mv = parent.data
-    heap: List[Tuple[float, float, int, int]] = []
-    tie = 0
-
-    for x, y, z in source_xyz:
-        if not (0 <= x < width and 0 <= y < height and 0 <= z < layers):
-            continue
-        s = z * plane + y * width + x
-        if bg_mv[s] == -_INF:
-            continue
-        if (x, y, z) in target_xyz:
-            return [s]
-        bg_mv[s] = 0.0
-        parent_mv[s] = -1
-        heapq.heappush(heap, (float(htab[s]), 0.0, tie, s))
-        tie += 1
-
-    query_start = budget.expansions_used if budget is not None else 0
-    expansions = 0
-    pushes = 0
-    push = heapq.heappush
-    pop = heapq.heappop
-    ninf = -_INF
-    try:
-        while heap:
-            f, g, _, p = pop(heap)
-            if g > bg_mv[p]:
-                continue
-            if p in target_ids:
-                ids = [p]
-                back = parent_mv[p]
-                while back >= 0:
-                    ids.append(back)
-                    back = parent_mv[back]
-                ids.reverse()
-                return ids
-            if budget is not None:
-                budget.charge_expansions(1)
-                if (
-                    max_expansions is not None
-                    and budget.expansions_used - query_start > max_expansions
-                ):
-                    return None
-            else:
-                expansions += 1
-                if max_expansions is not None and expansions > max_expansions:
-                    return None
-            base = 6 * p
-            for k in range(6):
-                q = nbr_mv[base + k]
-                bq = bg_mv[q]
-                if bq == ninf:
-                    continue
-                step = 1.0 if k < 4 else via_cost
-                ng = g + step if history is None else g + step + history[q]
-                if ng < bq:
-                    bg_mv[q] = ng
-                    parent_mv[q] = p
-                    push(heap, (ng + htab[q], ng, tie, q))
-                    tie += 1
-                    pushes += 1
-        return None
-    finally:
-        if budget is None and expansions:
-            obs.counter("astar.expansions").inc(expansions)
-        if pushes:
-            obs.counter("astar.heap_pushes").inc(pushes)
-
-
-def _astar_wave3(
-    space: SearchSpace,
-    source_xyz: List[Tuple[int, int, int]],
-    target_xyz: set,
-    max_expansions: Optional[int],
-    budget: Optional[Budget],
-) -> Optional[List[int]]:
-    """Vectorised unit-cost A* on the 6-neighbour multi-layer topology.
-
-    Only dispatched when ``grid.via_cost == 1`` — integer (f, g) buckets
-    require every step to cost exactly 1.  Mirrors :func:`_astar_wave`
-    with a six-column neighbour gather (``parent = live[keep // 6]``)
-    and a one-slot guard (all invalid moves are explicit ``-1``).
-    """
-    grid = space.grid
-    width = space.width
-    height = space.height
-    layers = space.layers
-    plane = space.plane
-    size = space.size
-    blocked = space.blocked
-
-    target_ids, bbox = _target_setup3(space, target_xyz)
-    htab = _heuristic_table3(width, height, layers, bbox, 1)
-    htab_mv = htab.data
-    nbr = _nbr_table3(width, height, layers, grid.via_mask())
-    nbr_flat_mv = nbr.reshape(-1).data
-
-    target_tuple = tuple(sorted(target_ids))
-    tmask: Optional["np.ndarray"] = None
-    if len(target_tuple) > 8:
-        tmask = np.zeros(size, dtype=np.uint8)
-        tmask[_as_ids(target_ids)] = 1
-
-    best_g = np.empty(size + 1, dtype=np.int32)
-    best_g[:size] = _UNSEEN32
-    best_g[size] = -1
-    best_g[:size][blocked.view(np.bool_)] = -1
-    bg_mv = best_g.data
-    parent = np.empty(size, dtype=np.int32)
-    parent_mv = parent.data
-    stamp = np.empty(size, dtype=np.intp)
-
-    buckets: Dict[Tuple[int, int], List["np.ndarray"]] = {}
-    tails: Dict[Tuple[int, int], List[int]] = {}
-    key_heap: List[Tuple[int, int]] = []
-    pop = heapq.heappop
-    push = heapq.heappush
-
-    for x, y, z in source_xyz:
-        if not (0 <= x < width and 0 <= y < height and 0 <= z < layers):
-            continue
-        s = z * plane + y * width + x
-        if bg_mv[s] == -1:
-            continue
-        if (x, y, z) in target_xyz:
-            return [s]
-        best_g[s] = 0
-        parent[s] = -1
-        key = (htab_mv[s], 0)
-        tail = tails.get(key)
-        if tail is None:
-            buckets[key] = []
-            tails[key] = [s]
-            push(key_heap, key)
-        else:
-            tail.append(s)
-
-    expansions = 0
-    pushes = 0
-    try:
-        while key_heap:
-            key = pop(key_heap)
-            chunks = buckets.pop(key)
-            tail = tails.pop(key, None)
-            f, g = key
-            ng = g + 1
-            if chunks:
-                n_raw = int(chunks[0].size) if len(chunks) == 1 else sum(
-                    int(c.size) for c in chunks
-                )
-            else:
-                n_raw = 0
-            if tail:
-                n_raw += len(tail)
-
-            if n_raw <= _SMALL_BUCKET:
-                cells_py: List[int] = []
-                for chunk in chunks:
-                    cells_py.extend(chunk.tolist())
-                if tail:
-                    cells_py.extend(tail)
-                for p in cells_py:
-                    if bg_mv[p] != g:
-                        continue
-                    if p in target_ids:
-                        ids = [p]
-                        back = parent_mv[p]
-                        while back >= 0:
-                            ids.append(back)
-                            back = parent_mv[back]
-                        ids.reverse()
-                        return ids
-                    expansions += 1
-                    if budget is not None:
-                        budget.charge_expansions(1)
-                    if (
-                        max_expansions is not None
-                        and expansions > max_expansions
-                    ):
-                        return None
-                    base = 6 * p
-                    for k in range(6):
-                        q = nbr_flat_mv[base + k]
-                        if bg_mv[q] <= ng:
-                            continue
-                        bg_mv[q] = ng
-                        parent_mv[q] = p
-                        pushes += 1
-                        nkey = (ng + htab_mv[q], ng)
-                        ntail = tails.get(nkey)
-                        if ntail is None:
-                            buckets[nkey] = []
-                            tails[nkey] = [q]
-                            push(key_heap, nkey)
-                        else:
-                            ntail.append(q)
-                continue
-
-            if tail:
-                chunks.append(np.asarray(tail, dtype=np.int32))
-            cells = (
-                chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-            )
-            lmask = best_g[cells] == g
-            live = cells if lmask.all() else cells[lmask]
-            n_live = int(live.size)
-            if not n_live:
-                continue
-            jt: Optional[int] = None
-            if tmask is None:
-                for t in target_tuple:
-                    if bg_mv[t] == g and f == g + htab_mv[t]:
-                        pos = int((live == t).argmax())
-                        if jt is None or pos < jt:
-                            jt = pos
-            else:
-                hits = tmask[live]
-                if hits.any():
-                    jt = int(np.argmax(hits))
-            allowance = (
-                None if max_expansions is None else max_expansions - expansions
-            )
-            if jt is not None and (allowance is None or jt <= allowance):
-                if jt:
-                    expansions += jt
-                    if budget is not None:
-                        _charge_exact(budget, jt)
-                t = int(live[jt])
-                ids = [t]
-                back = parent_mv[t]
-                while back >= 0:
-                    ids.append(back)
-                    back = parent_mv[back]
-                ids.reverse()
-                return ids
-            settled = n_live if jt is None else jt
-            if allowance is not None and settled > allowance:
-                charge = allowance + 1
-                expansions += charge
-                if budget is not None:
-                    _charge_exact(budget, charge)
-                return None
-            expansions += settled
-            if budget is not None and settled:
-                _charge_exact(budget, settled)
-
-            flat = nbr[live].reshape(-1)
-            keep = (best_g[flat] > ng).nonzero()[0]
-            if not keep.size:
-                continue
-            q = flat[keep]
-            stamp[q[::-1]] = keep[::-1]
-            sel = (stamp[q] == keep).nonzero()[0]
-            if sel.size != q.size:
-                q = q[sel]
-                keep = keep[sel]
-            best_g[q] = ng
-            parent[q] = live[keep // 6]
-            pushes += int(q.size)
-            fq = htab[q] + ng
-            fmin = int(fq.min())
-            fmax = int(fq.max())
-            if fmin == fmax:
-                _wave_push(buckets, tails, key_heap, (fmin, ng), q)
-            else:
-                for fv in range(fmin, fmax + 1):
-                    m2 = fq == fv
-                    if m2.any():
-                        _wave_push(
-                            buckets, tails, key_heap, (fv, ng), q[m2]
-                        )
-        return None
-    finally:
-        if budget is None and expansions:
-            obs.counter("astar.expansions").inc(expansions)
-        if pushes:
-            obs.counter("astar.heap_pushes").inc(pushes)
-
-
 def bfs_search(
     space: SearchSpace,
     sources: Iterable[Cell],
@@ -1085,101 +708,12 @@ def bfs_search(
 
     Same blocking rules and multi-source/multi-target interface as
     :func:`astar_search` with no history costs; the returned path has
-    guaranteed-minimum length.  Propagation is whole-frontier: each BFS
-    level expands as one batch of ndarray gathers, with first-occurrence
-    dedup standing in for the scalar visited check (see
-    :func:`_bfs_scalar`, the reference implementation the property
-    tests compare against).
+    guaranteed-minimum length (via steps count as one level — Lee's
+    oracle is unweighted).  Propagation is whole-frontier: each BFS
+    level expands as one batch of neighbour-table gathers, with
+    first-occurrence dedup standing in for the scalar visited check
+    (the property tests pin it to a scalar deque reference).
     """
-    if space.layers > 1:
-        return _bfs3(space, sources, targets)
-    width = space.width
-    height = space.height
-    size = space.size
-    blocked = space.blocked
-    blocked_mv = memoryview(blocked)
-
-    target_xy = {(t[0], t[1]) for t in targets}
-    source_list = [(s[0], s[1]) for s in sources]
-    if not target_xy or not source_list:
-        return None
-    target_ids = {
-        y * width + x for x, y in target_xy if 0 <= x < width and 0 <= y < height
-    }
-    tmask = np.zeros(size, dtype=np.uint8)
-    if target_ids:
-        tmask[_as_ids(target_ids)] = 1
-
-    # parent: -2 unvisited, -1 source root, else predecessor cell id.
-    parent = np.full(size, -2, dtype=np.int32)
-    seeds: List[int] = []
-    for x, y in source_list:
-        if not (0 <= x < width and 0 <= y < height):
-            continue
-        s = y * width + x
-        if blocked_mv[s] or parent[s] != -2:
-            continue
-        parent[s] = -1
-        if (x, y) in target_xy:
-            return [s]
-        seeds.append(s)
-    frontier = np.asarray(seeds, dtype=np.int32)
-
-    while frontier.size:
-        n = int(frontier.size)
-        xs = frontier % width
-        cand = np.empty((n, 4), dtype=np.int32)
-        cand[:, 0] = frontier + 1
-        cand[:, 1] = frontier - 1
-        cand[:, 2] = frontier + width
-        cand[:, 3] = frontier - width
-        cand[xs + 1 == width, 0] = -1
-        cand[xs == 0, 1] = -1
-        flat = cand.reshape(-1)
-        idx = np.flatnonzero((flat >= 0) & (flat < size))
-        q = flat[idx]
-        keep = np.flatnonzero((parent[q] == -2) & (blocked[q] == 0))
-        q = q[keep]
-        idx = idx[keep]
-        if not q.size:
-            return None
-        uq, first = np.unique(q, return_index=True)
-        if uq.size != q.size:
-            order = np.sort(first)
-            q = q[order]
-            idx = idx[order]
-        parent[q] = frontier[idx >> 2]
-        hits = tmask[q]
-        if hits.any():
-            t = int(q[int(np.argmax(hits))])
-            ids = [t]
-            back = int(parent[t])
-            while back >= 0:
-                ids.append(back)
-                back = int(parent[back])
-            ids.reverse()
-            return ids
-        frontier = q
-    return None
-
-
-def _bfs3(
-    space: SearchSpace,
-    sources: Iterable[Cell],
-    targets: Iterable[Cell],
-) -> Optional[List[int]]:
-    """Whole-frontier BFS over the 6-neighbour multi-layer topology.
-
-    Via steps count as one BFS level (Lee's oracle is unweighted); the
-    6-column neighbour table replaces the inline planar candidate
-    build, and invalid moves are explicit ``-1`` entries filtered with
-    the same in-range mask the planar engine uses.
-    """
-    grid = space.grid
-    width = space.width
-    height = space.height
-    layers = space.layers
-    plane = space.plane
     size = space.size
     blocked = space.blocked
     blocked_mv = memoryview(blocked)
@@ -1188,26 +722,21 @@ def _bfs3(
     source_xyz = [_cell3(s) for s in sources]
     if not target_xyz or not source_xyz:
         return None
-    target_ids = {
-        z * plane + y * width + x
-        for x, y, z in target_xyz
-        if 0 <= x < width and 0 <= y < height and 0 <= z < layers
-    }
+    target_ids = set(_cell_ids(space, target_xyz))
     tmask = np.zeros(size, dtype=np.uint8)
     if target_ids:
         tmask[_as_ids(target_ids)] = 1
-    nbr = _nbr_table3(width, height, layers, grid.via_mask())
+    nbr = _space_table(space)
+    ncols = nbr.shape[1]
 
+    # parent: -2 unvisited, -1 source root, else predecessor cell id.
     parent = np.full(size, -2, dtype=np.int32)
     seeds: List[int] = []
-    for x, y, z in source_xyz:
-        if not (0 <= x < width and 0 <= y < height and 0 <= z < layers):
-            continue
-        s = z * plane + y * width + x
+    for s in _cell_ids(space, source_xyz):
         if blocked_mv[s] or parent[s] != -2:
             continue
         parent[s] = -1
-        if (x, y, z) in target_xyz:
+        if s in target_ids:
             return [s]
         seeds.append(s)
     frontier = np.asarray(seeds, dtype=np.int32)
@@ -1226,80 +755,11 @@ def _bfs3(
             order = np.sort(first)
             q = q[order]
             idx = idx[order]
-        parent[q] = frontier[idx // 6]
+        parent[q] = frontier[idx // ncols]
         hits = tmask[q]
         if hits.any():
-            t = int(q[int(np.argmax(hits))])
-            ids = [t]
-            back = int(parent[t])
-            while back >= 0:
-                ids.append(back)
-                back = int(parent[back])
-            ids.reverse()
-            return ids
+            return _trace_back(parent.data, int(q[int(np.argmax(hits))]))
         frontier = q
-    return None
-
-
-def _bfs_scalar(
-    space: SearchSpace,
-    sources: Iterable[Cell],
-    targets: Iterable[Cell],
-) -> Optional[List[int]]:
-    """Reference scalar BFS (the pre-vectorisation implementation).
-
-    Kept for the property tests, which pin :func:`bfs_search` to it
-    path-for-path.
-    """
-    from collections import deque
-
-    width = space.width
-    height = space.height
-    size = space.size
-    blocked = memoryview(space.blocked)
-
-    target_xy = {(t[0], t[1]) for t in targets}
-    source_list = [(s[0], s[1]) for s in sources]
-    if not target_xy or not source_list:
-        return None
-    target_ids = {
-        y * width + x for x, y in target_xy if 0 <= x < width and 0 <= y < height
-    }
-
-    parent: Dict[int, int] = {}
-    queue: deque = deque()
-    for x, y in source_list:
-        if not (0 <= x < width and 0 <= y < height):
-            continue
-        s = y * width + x
-        if blocked[s] or s in parent:
-            continue
-        parent[s] = -1
-        if (x, y) in target_xy:
-            return [s]
-        queue.append(s)
-
-    while queue:
-        p = queue.popleft()
-        xp = p % width
-        for q in (
-            p + 1 if xp + 1 < width else -1,
-            p - 1 if xp else -1,
-            p + width,
-            p - width,
-        ):
-            if q < 0 or q >= size or q in parent or blocked[q]:
-                continue
-            parent[q] = p
-            if q in target_ids:
-                ids = [q]
-                back = p
-                while back >= 0:
-                    ids.append(back)
-                    back = parent[back]
-                ids.reverse()
-                return ids
-            queue.append(q)
     return None
 
 
@@ -1368,14 +828,13 @@ def bounded_search(
     Returns the found cell-id path, or None when the search gives up
     (state budget exhausted or no such simple path exists).
     """
-    core = _bounded_core3 if space.layers > 1 else _bounded_core
-    ids, drained = core(
+    ids, drained = _bounded_core(
         space, source, target, min_length, max_length, max_states, False
     )
     if ids is not None or not drained:
         return ids
     obs.counter("bounded.reopened").inc()
-    ids, _ = core(
+    ids, _ = _bounded_core(
         space, source, target, min_length, max_length, max_states, True
     )
     return ids
@@ -1399,19 +858,30 @@ def _bounded_core(
     XOR-fold of the path's own cell ids: order-insensitive, so permuted
     prefixes over the same cells still dedup, but genuinely different
     cell sets coexist.
+
+    The G value is the *weighted* channel length: planar steps add 1,
+    via steps add ``grid.via_length`` (vias consume channel budget in
+    the length-matching constraint).  The remaining-length table is the
+    admissible ``planar_L1 + via_length * z_distance`` bound, so the
+    ``g + rem > max_length`` prune stays safe.
     """
     width = space.width
-    height = space.height
-    size = space.size
+    plane = space.plane
     blocked = memoryview(space.blocked)
-    sx, sy = source[0], source[1]
-    tx, ty = target[0], target[1]
-    sid = sy * width + sx
-    tid = ty * width + tx
+    sx, sy, sz = _cell3(source)
+    tx, ty, tz = _cell3(target)
+    sid = sz * plane + sy * width + sx
+    tid = tz * plane + ty * width + tx
+    steps = _steps(space, space.grid.via_length)
+    ncols = len(steps)
+    pairs = tuple(enumerate(steps))
 
-    # Remaining-L1 lookups move out of the hot loop into one vectorised
-    # table (distance to the single target cell).
-    rem = _heuristic_table(width, height, tx, tx, ty, ty).data
+    # Remaining-length lookups move out of the hot loop into one
+    # vectorised table (distance to the single target cell).
+    rem = _heuristic_table(
+        width, space.height, space.layers, (tx, tx, ty, ty, tz, tz), steps[-1]
+    ).data
+    nbr_mv = memoryview(_space_table(space).reshape(-1))
 
     # States are (cell id, g[, own-hash]); parents reconstruct one
     # simple path per state, ``own_of`` carries each state's
@@ -1422,7 +892,7 @@ def _bounded_core(
     heap: List[Tuple[float, int, Tuple[int, ...]]] = []
     tie = count()
 
-    estimate = abs(sx - tx) + abs(sy - ty)
+    estimate = rem[sid]
     f0 = float(estimate)
     if estimate < min_length:
         f0 += _PENALTY_WEIGHT * (min_length - estimate)
@@ -1452,112 +922,12 @@ def _bounded_core(
             # Cells already on this state's own path are forbidden so
             # every reconstructed path stays simple.
             own = own_of[state]
-            ng = g + 1
-            xp = p % width
-            for q in (
-                p + 1 if xp + 1 < width else -1,
-                p - 1 if xp else -1,
-                p + width,
-                p - width,
-            ):
-                if q < 0 or q >= size or blocked[q] or q in own:
-                    continue
-                if ng + rem[q] > max_length:
-                    continue
-                nstate = (
-                    (q, ng, state[2] ^ q) if split_by_own else (q, ng)
-                )
-                if nstate in parent:
-                    continue
-                parent[nstate] = state
-                own_of[nstate] = own.extended(q)
-                estimate = ng + rem[q]
-                f = float(estimate)
-                if estimate < min_length:
-                    f += _PENALTY_WEIGHT * (min_length - estimate)
-                heapq.heappush(heap, (f, next(tie), nstate))
-        return None, True
-    finally:
-        if states:
-            obs.counter("bounded.states").inc(states)
-
-
-def _bounded_core3(
-    space: SearchSpace,
-    source: Cell,
-    target: Cell,
-    min_length: int,
-    max_length: int,
-    max_states: int,
-    split_by_own: bool,
-) -> Tuple[Optional[List[int]], bool]:
-    """One bounded-search pass on the multi-layer topology.
-
-    The G value is the *weighted* channel length: planar steps add 1,
-    via steps add ``grid.via_length`` (vias consume channel budget in
-    the length-matching constraint).  The remaining-length table is the
-    admissible ``planar_L1 + via_length * z_distance`` bound, so the
-    ``g + rem > max_length`` prune stays safe.
-    """
-    grid = space.grid
-    width = space.width
-    height = space.height
-    layers = space.layers
-    plane = space.plane
-    via_length = grid.via_length
-    blocked = memoryview(space.blocked)
-    sx, sy, sz = _cell3(source)
-    tx, ty, tz = _cell3(target)
-    sid = sz * plane + sy * width + sx
-    tid = tz * plane + ty * width + tx
-
-    rem = _heuristic_table3(
-        width, height, layers, (tx, tx, ty, ty, tz, tz), via_length
-    ).data
-    nbr_mv = memoryview(
-        _nbr_table3(width, height, layers, grid.via_mask()).reshape(-1)
-    )
-
-    start = (sid, 0, sid) if split_by_own else (sid, 0)
-    parent: Dict[Tuple[int, ...], Optional[Tuple[int, ...]]] = {start: None}
-    own_of: Dict[Tuple[int, ...], _OwnCells] = {start: _OwnCells.single(sid)}
-    heap: List[Tuple[float, int, Tuple[int, ...]]] = []
-    tie = count()
-
-    estimate = int(rem[sid])
-    f0 = float(estimate)
-    if estimate < min_length:
-        f0 += _PENALTY_WEIGHT * (min_length - estimate)
-    heapq.heappush(heap, (f0, next(tie), start))
-    states = 0
-
-    try:
-        while heap:
-            _, _, state = heapq.heappop(heap)
-            p = state[0]
-            g = state[1]
-            if p == tid and min_length <= g <= max_length:
-                ids: List[int] = []
-                node: Optional[Tuple[int, ...]] = state
-                while node is not None:
-                    ids.append(node[0])
-                    node = parent[node]
-                ids.reverse()
-                if len(set(ids)) == len(ids):  # simple path only
-                    return ids, False
-                continue
-            states += 1
-            if states > max_states:
-                return None, False
-            if g >= max_length:
-                continue
-            own = own_of[state]
-            base = 6 * p
-            for k in range(6):
+            base = ncols * p
+            for k, step in pairs:
                 q = nbr_mv[base + k]
                 if q < 0 or blocked[q] or q in own:
                     continue
-                ng = g + (1 if k < 4 else via_length)
+                ng = g + step
                 if ng + rem[q] > max_length:
                     continue
                 nstate = (

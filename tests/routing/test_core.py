@@ -8,6 +8,7 @@ own-net-routable case.
 """
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.designs import design_by_name
 from repro.geometry.point import Point
-from repro.grid.grid import RoutingGrid
+from repro.grid.grid import RoutingGrid, cell_point
 from repro.grid.occupancy import FREE, Occupancy
 from repro.observability import Metrics, use
 from repro.routing.astar import astar_route
@@ -25,7 +26,7 @@ from repro.routing.core import (
     bfs_search,
     query_space,
 )
-from repro.routing.core.engine import _astar_scalar, _bfs_scalar
+from repro.routing.core.engine import _astar_scalar, _cell3
 
 
 def _random_scene(seed):
@@ -206,16 +207,22 @@ def test_spacecache_incremental_matches_rebuilt(seed):
 # Vectorised engines == scalar reference engines, over the S1-S5 designs
 
 
-def _design_scene(name, seed):
-    """The design's grid plus a seeded occupancy over its valve cells."""
+def _design_scene(name, seed, layers=1):
+    """The design's grid (lifted onto ``layers`` with unit via cost) plus
+    a seeded occupancy over its valve cells."""
     design = design_by_name(name)
+    if layers > 1:
+        design = design.with_layers(layers)
     grid = design.grid
     rng = random.Random(seed)
     occupancy = Occupancy(grid)
     for valve in design.valves:
         occupancy.occupy([valve.position], 1 + (valve.id % 3))
     cells = [
-        Point(x, y) for y in range(grid.height) for x in range(grid.width)
+        cell_point(x, y, z)
+        for z in range(layers)
+        for y in range(grid.height)
+        for x in range(grid.width)
     ]
     queries = []
     for _ in range(6):
@@ -225,25 +232,101 @@ def _design_scene(name, seed):
     return grid, occupancy, queries
 
 
-@pytest.mark.parametrize("name", ["S1", "S2", "S3", "S4", "S5"])
-def test_wave_astar_paths_identical_to_scalar(name):
+def _bfs_scalar(space, sources, targets):
+    """Reference scalar BFS (the pre-vectorisation implementation).
+
+    A deque Lee wave over explicit coordinate arithmetic — E/W/S/N, then
+    Up/Down through via-permitted columns — independent of the engine's
+    neighbour table; :func:`bfs_search` must match it path-for-path.
+    """
+    width = space.width
+    height = space.height
+    layers = space.layers
+    plane = space.plane
+    blocked = memoryview(space.blocked)
+    via_ok = space.grid.via_mask()
+
+    def cid(c):
+        x, y, z = c
+        if 0 <= x < width and 0 <= y < height and 0 <= z < layers:
+            return z * plane + y * width + x
+        return -1
+
+    target_xyz = {_cell3(t) for t in targets}
+    source_xyz = [_cell3(s) for s in sources]
+    if not target_xyz or not source_xyz:
+        return None
+    target_ids = {cid(t) for t in target_xyz} - {-1}
+
+    parent = {}
+    queue = deque()
+    for c in source_xyz:
+        s = cid(c)
+        if s < 0 or blocked[s] or s in parent:
+            continue
+        parent[s] = -1
+        if s in target_ids:
+            return [s]
+        queue.append(s)
+
+    while queue:
+        p = queue.popleft()
+        z, rest = divmod(p, plane)
+        y, x = divmod(rest, width)
+        cands = [
+            p + 1 if x + 1 < width else -1,
+            p - 1 if x else -1,
+            p + width if y + 1 < height else -1,
+            p - width if y else -1,
+        ]
+        if layers > 1:
+            via = bool(via_ok[rest])
+            cands.append(p + plane if via and z + 1 < layers else -1)
+            cands.append(p - plane if via and z else -1)
+        for q in cands:
+            if q < 0 or q in parent or blocked[q]:
+                continue
+            parent[q] = p
+            if q in target_ids:
+                ids = [q]
+                back = p
+                while back >= 0:
+                    ids.append(back)
+                    back = parent[back]
+                ids.reverse()
+                return ids
+            queue.append(q)
+    return None
+
+
+_SCENES = [
+    pytest.param(name, layers, id=name if layers == 1 else f"{name}x2")
+    for layers in (1, 2)
+    for name in ("S1", "S2", "S3", "S4", "S5")
+]
+
+
+@pytest.mark.parametrize("name,layers", _SCENES)
+def test_wave_astar_paths_identical_to_scalar(name, layers):
     """The whole-frontier wave A* returns the scalar engine's exact path."""
-    grid, occupancy, queries = _design_scene(name, seed=sum(name.encode()))
+    grid, occupancy, queries = _design_scene(
+        name, seed=sum(name.encode()), layers=layers
+    )
     for net, srcs, tgts in queries:
         space = SearchSpace(grid, net=net, occupancy=occupancy)
-        wave = astar_search(space, srcs, tgts)  # history=None -> wave
+        wave = astar_search(space, srcs, tgts)  # unit steps -> wave
         scalar = _astar_scalar(
-            space, [(s[0], s[1]) for s in srcs],
-            {(t[0], t[1]) for t in tgts}, None, None, None,
+            space, [_cell3(s) for s in srcs], {_cell3(t) for t in tgts},
+            (1,) * (4 if layers == 1 else 6), None, None, None,
         )
         assert wave == scalar, (net, srcs, tgts)
 
 
-@pytest.mark.parametrize("name", ["S1", "S2", "S3", "S4", "S5"])
-def test_wave_bfs_paths_identical_to_scalar(name):
+@pytest.mark.parametrize("name,layers", _SCENES)
+def test_wave_bfs_paths_identical_to_scalar(name, layers):
     """The whole-frontier Lee wave returns the scalar engine's exact path."""
     grid, occupancy, queries = _design_scene(
-        name, seed=1 + sum(name.encode())
+        name, seed=1 + sum(name.encode()), layers=layers
     )
     for net, srcs, tgts in queries:
         space = SearchSpace(grid, net=net, occupancy=occupancy)
