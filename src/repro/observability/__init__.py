@@ -15,7 +15,8 @@ search (§6) — and this subsystem makes that spend visible:
   tracer/metrics pair kernels reach without explicit plumbing; no-op
   singletons by default, so disabled instrumentation costs ~nothing.
 * :mod:`repro.observability.profile` — the analysis behind
-  ``pacor profile``: per-stage time table and top-k nets by expansions.
+  ``pacor profile``: per-stage time table, top-k nets by expansions and
+  the failed (and pruned) searches per net and stage.
 * :mod:`repro.observability.validate` — JSONL/JSON schema validation
   for exported files (the CI gate).
 

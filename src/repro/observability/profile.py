@@ -1,21 +1,25 @@
 """Trace analysis behind ``pacor profile``.
 
 Loads a JSONL trace (see :mod:`repro.observability.tracing`) and answers
-the two questions the flow's performance work keeps asking: *where does
-the wall clock go per stage* and *which nets are the effort sinks*.
+the questions the flow's performance work keeps asking: *where does
+the wall clock go per stage*, *which nets are the effort sinks* and
+*which searches were wasted*.
 
 Stage rows aggregate ``category == "stage"`` spans by name (a resumed
 run re-executes its interrupted stage, so one stage may have several
 spans — they are summed, and the count column shows the re-entry).
 Net rows aggregate ``category == "net"`` spans by their ``net_id``
 attribute, summing the ``astar_expansions`` deltas the router and the
-negotiation kernel attach.
+negotiation kernel attach.  Wasted-search rows aggregate the net spans
+that record ``routed=false`` (one per failed negotiation edge search) by
+net and enclosing stage; ``pruned=true`` marks a search the engine's
+walled-pocket check proved unroutable without expanding a cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.observability.tracing import read_trace_jsonl
 
@@ -42,6 +46,18 @@ class NetRow:
 
 
 @dataclass
+class WastedRow:
+    """Failed searches of one net within one stage."""
+
+    net_id: int
+    stage: str
+    failed: int = 0
+    pruned: int = 0
+    astar_expansions: int = 0
+    share: float = 0.0  # of every net span's A* expansions
+
+
+@dataclass
 class TraceProfile:
     """The full analysis of one trace file."""
 
@@ -51,6 +67,7 @@ class TraceProfile:
     stages: List[StageRow]
     top_nets: List[NetRow]
     designs: List[str] = field(default_factory=list)
+    wasted: List[WastedRow] = field(default_factory=list)
 
 
 def _attr(doc: Dict[str, object], key: str) -> object:
@@ -75,6 +92,7 @@ def profile_spans(
     stage_order: List[str] = []
     stage_rows: Dict[str, StageRow] = {}
     net_rows: Dict[int, NetRow] = {}
+    wasted_rows: Dict[Tuple[int, str], WastedRow] = {}
     # A span's enclosing stage names the net row's stage column.
     stage_of_span: Dict[str, str] = {}
     for doc in spans:
@@ -113,12 +131,19 @@ def profile_spans(
             net = net_rows.setdefault(int(net_id), NetRow(net_id=int(net_id)))
             net.spans += 1
             net.total_s += duration
-            expansions = _attr(doc, "astar_expansions")
-            if expansions is not None:
-                net.astar_expansions += int(expansions)
+            expansions = int(_attr(doc, "astar_expansions") or 0)
+            net.astar_expansions += expansions
             stage = enclosing_stage(doc)
             if stage is not None and stage not in net.stages:
                 net.stages.append(stage)
+            if _attr(doc, "routed") is False:
+                key = (int(net_id), stage or "-")
+                wasted = wasted_rows.setdefault(
+                    key, WastedRow(net_id=key[0], stage=key[1])
+                )
+                wasted.failed += 1
+                wasted.pruned += _attr(doc, "pruned") is True
+                wasted.astar_expansions += expansions
 
     for row in stage_rows.values():
         row.share = row.total_s / flow_s if flow_s > 0 else 0.0
@@ -126,6 +151,10 @@ def profile_spans(
         net_rows.values(),
         key=lambda n: (-n.astar_expansions, -n.total_s, n.net_id),
     )[:top_k]
+    all_expansions = sum(n.astar_expansions for n in net_rows.values())
+    for wasted in wasted_rows.values():
+        if all_expansions:
+            wasted.share = wasted.astar_expansions / all_expansions
     return TraceProfile(
         trace_id=trace_ids.pop() if len(trace_ids) == 1 else "mixed",
         flow_s=flow_s,
@@ -133,6 +162,10 @@ def profile_spans(
         stages=[stage_rows[name] for name in stage_order],
         top_nets=top,
         designs=designs,
+        wasted=sorted(
+            wasted_rows.values(),
+            key=lambda w: (-w.astar_expansions, -w.failed, w.net_id, w.stage),
+        ),
     )
 
 
@@ -142,7 +175,7 @@ def profile_trace_file(path: str, *, top_k: int = 5) -> TraceProfile:
 
 
 def format_profile(profile: TraceProfile) -> str:
-    """Render the profile as the two aligned tables ``pacor profile`` prints."""
+    """Render the profile as the aligned tables ``pacor profile`` prints."""
     from repro.analysis import format_table
 
     out: List[str] = []
@@ -182,4 +215,29 @@ def format_profile(profile: TraceProfile) -> str:
         )
     else:
         out.append("  (no net spans in this trace)")
+    out.append("")
+    wasted = profile.wasted
+    out.append(
+        f"wasted searches: {sum(w.failed for w in wasted)} failed "
+        f"({sum(w.pruned for w in wasted)} pruned), "
+        f"{sum(w.astar_expansions for w in wasted)} expansions, "
+        f"{sum(w.share for w in wasted):.1%} of all"
+    )
+    if wasted:
+        out.append(
+            format_table(
+                ["Net", "Stage", "Failed", "Pruned", "Expansions", "Share"],
+                [
+                    [
+                        w.net_id,
+                        w.stage,
+                        w.failed,
+                        w.pruned,
+                        w.astar_expansions,
+                        f"{w.share:.1%}",
+                    ]
+                    for w in wasted
+                ],
+            )
+        )
     return "\n".join(out)

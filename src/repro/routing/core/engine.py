@@ -36,6 +36,18 @@ FIFO order equals the scalar heap's ``(f, g, tie)`` order because ties
 only ever break by push time, and first-occurrence dedup equals scalar
 first-relax-wins.
 
+A failed scalar search settles the whole free component around its
+sources before it gives up, and negotiation re-queries its failed
+edges every round.  So the scalar engine sits behind an exact
+*walled-pocket check* (:func:`_walled_off`): a bidirectional flood that
+grows the smaller side first and returns ``None`` as soon as either
+side's component runs out — at the cost of the pocket, not the chip.
+The wave engine has no such check: its failures are few, and its flood
+would start from hundreds of seeds per side.  A pruned query charges
+nothing to a budget or to ``astar.expansions``; it counts in
+``astar.pruned``, and every flood's touched cells in
+``astar.pocket_cells``.
+
 Semantics are pinned to the pre-refactor kernels:
 
 * neighbour order is East, West, South, North, then Up, Down (the
@@ -332,9 +344,73 @@ def astar_search(
         )
     # History surcharges (or weighted via steps) make step costs floats;
     # (f, g) buckets degenerate there, so the scalar loop is the engine.
+    # A failed scalar search floods the whole free component first, so
+    # prove unreachable queries with the cheaper walled-pocket flood.
+    if _walled_off(space, source_xyz, target_xyz):
+        return None
     return _astar_scalar(
         space, source_xyz, target_xyz, steps, history, max_expansions, budget
     )
+
+
+def _walled_off(
+    space: SearchSpace,
+    source_xyz: List[Tuple[int, int, int]],
+    target_xyz: set,
+) -> bool:
+    """Return True when no free path joins any source to any target.
+
+    A bidirectional, balanced flood over the blocked mask: each side
+    starts from its routable on-chip cells, and the side with fewer
+    visited cells always grows next.  The query is walled off as soon
+    as either side's queue empties — that side's whole free component
+    is then known and holds no cell of the other side — and reachable
+    as soon as one side touches the other.  Either way the flood costs
+    about twice the smaller side's reach, never the whole component a
+    failed search settles.  Touched cells are counted in
+    ``astar.pocket_cells`` and walled-off queries in ``astar.pruned``;
+    neither is charged to a budget or to ``astar.expansions``.
+    """
+    # One mark per cell plus the guard slot (see _GUARD_NOTE): 1 is
+    # blocked or off-grid, 2 reached from the sources, 3 from the targets.
+    mark = bytearray(space.blocked.tobytes())
+    mark.append(1)
+    queues: Tuple[List[int], List[int]] = ([], [])
+    touched = False
+    for side, xyz in enumerate((source_xyz, sorted(target_xyz))):
+        tag = 2 + side
+        for c in _cell_ids(space, xyz):
+            if mark[c] == 0:
+                mark[c] = tag
+                queues[side].append(c)
+            elif mark[c] == 5 - tag:
+                touched = True
+    table = _space_table(space)
+    ncols = table.shape[1]
+    nbr = memoryview(table.reshape(-1))
+    heads = [0, 0]
+    while (
+        not touched
+        and heads[0] < len(queues[0])
+        and heads[1] < len(queues[1])
+    ):
+        side = 0 if len(queues[0]) <= len(queues[1]) else 1
+        queue = queues[side]
+        tag = 2 + side
+        base = ncols * queue[heads[side]]
+        heads[side] += 1
+        for q in nbr[base : base + ncols]:
+            m = mark[q]
+            if m == 0:
+                mark[q] = tag
+                queue.append(q)
+            elif m == 5 - tag:
+                touched = True
+                break
+    obs.counter("astar.pocket_cells").inc(len(queues[0]) + len(queues[1]))
+    if not touched:
+        obs.counter("astar.pruned").inc()
+    return not touched
 
 
 def _astar_scalar(

@@ -133,6 +133,10 @@ class NegotiationRouter:
             if budget is not None
             else obs.counter("astar.expansions")
         )
+        # Searches the engine's walled-pocket check proved unroutable;
+        # their edge spans are flagged so ``pacor profile`` can tell a
+        # free proof from an expensive one.
+        pruned_counter = obs.counter("astar.pruned")
         for iteration in range(1, self.gamma + 1):
             result.iterations = iteration
             # While every history entry is still zero the surcharge is a
@@ -175,6 +179,7 @@ class NegotiationRouter:
                         edge_id=request.edge_id,
                     )
                     spent_before = exp_counter.value
+                    pruned_before = pruned_counter.value
                     ids: Optional[List[int]] = None
                     with edge_span:
                         try:
@@ -195,6 +200,8 @@ class NegotiationRouter:
                                 - spent_before,
                                 routed=ids is not None,
                             )
+                            if pruned_counter.value > pruned_before:
+                                edge_span.set(pruned=True)
                     if ids is not None and faults.fires(
                         "negotiation_edge_failure"
                     ):

@@ -3,17 +3,24 @@
 Covers the recovery machinery directly: candidate retry after a
 negotiation failure, LM demotion, and the force-completion "walled in"
 branch that gives a net up instead of looping, including the reason it
-reports when every control pin is taken.
+reports when every control pin is taken.  Degenerate inputs must end
+in a verified result or per-net failure reasons, never an exception.
 """
 
 from dataclasses import replace
 
+import pytest
+
+from repro.analysis import verify_result
+from repro.core import METHODS, run_method
 from repro.core.config import PacorConfig
 from repro.core.pacor import PacorRouter
 from repro.core.pipeline import run_pacor
-from repro.designs import ClusterPlan, Design, generate_design
+from repro.designs import ClusterPlan, Design, design_by_name, generate_design
 from repro.dme import generate_candidates
 from repro.geometry import Point
+from repro.geometry.point import cell_point
+from repro.observability import Metrics, use
 from repro.grid import RoutingGrid
 from repro.robustness.budget import Budget
 from repro.valves import ActivationSequence, Valve
@@ -184,3 +191,25 @@ def test_design_without_pins_reports_pin_exhaustion_for_every_net():
     assert {n.failure_reason for n in result.nets} == {
         "no free control pin left"
     }
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_fully_blocked_upper_layer_routes_like_the_planar_design(method):
+    # S3 on two layers with every layer-1 cell an obstacle: each search
+    # runs on the 6-column neighbour table with weighted (never usable)
+    # via steps, so every A* query goes through the scalar engine and
+    # its walled-pocket check.
+    design = design_by_name("S3").with_layers(2, via_cost=3)
+    for y in range(design.grid.height):
+        for x in range(design.grid.width):
+            design.grid.set_obstacle(cell_point(x, y, 1))
+    registry = Metrics()
+    with use(metrics=registry):
+        result = run_method(design, method)
+    verify_result(design, result)
+    assert all(n.routed or n.failure_reason for n in result.nets)
+    assert registry.counter("astar.pocket_cells").value > 0
+    planar = run_method(design_by_name("S3"), method).summary_row()
+    row = result.summary_row()
+    for column in ("matched_clusters", "total_length", "completion"):
+        assert row[column] == planar[column], column

@@ -69,6 +69,58 @@ def test_format_profile_renders_tables():
     assert "top 2 nets by A* expansions" in text
 
 
+def _span(span_id, parent_id, name, category, **attrs):
+    return {
+        "trace_id": "t",
+        "span_id": span_id,
+        "parent_id": parent_id,
+        "name": name,
+        "category": category,
+        "dur_s": 0.01,
+        "attrs": attrs,
+    }
+
+
+def test_profile_tables_failed_and_pruned_searches_per_net_and_stage():
+    edge = "negotiation-edge"
+    spans = [
+        _span("f", None, "route", "flow"),
+        _span("lm", "f", "lm-routing", "stage"),
+        _span("k", "lm", "negotiation", "kernel"),
+        _span("e1", "k", edge, "net", net_id=7, astar_expansions=600,
+              routed=False),
+        _span("e2", "k", edge, "net", net_id=7, astar_expansions=0,
+              routed=False, pruned=True),
+        _span("e3", "k", edge, "net", net_id=7, astar_expansions=0,
+              routed=False, pruned=True),
+        _span("e4", "k", edge, "net", net_id=3, astar_expansions=100,
+              routed=True),
+        _span("e5", "k", edge, "net", net_id=3, astar_expansions=0,
+              routed=False, pruned=True),
+        _span("mst", "f", "mst-routing", "stage"),
+        _span("m1", "mst", "mst-net", "net", net_id=7, astar_expansions=300),
+    ]
+    profile = profile_spans(spans)
+    rows = [
+        (w.net_id, w.stage, w.failed, w.pruned, w.astar_expansions, w.share)
+        for w in profile.wasted
+    ]
+    # Only routed=false spans count; the share is of all 1,000 expansions.
+    assert rows == [
+        (7, "lm-routing", 3, 2, 600, 0.6),
+        (3, "lm-routing", 1, 1, 0, 0.0),
+    ]
+    text = format_profile(profile)
+    assert "wasted searches: 4 failed (3 pruned), 600 expansions, 60.0%" in text
+    assert "Pruned" in text
+
+
+def test_profile_without_failed_searches_reports_none():
+    profile = profile_spans([s.to_json() for s in _sample_trace().spans])
+    assert profile.wasted == []
+    assert "wasted searches: 0 failed (0 pruned)" in format_profile(profile)
+
+
 def test_profile_trace_file(tmp_path):
     tracer = _sample_trace()
     path = tmp_path / "t.jsonl"
