@@ -1,8 +1,8 @@
 """Shared fixtures and options for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper (see
-DESIGN.md's experiment index).  Heavy chip-scale rows are marked
-``chips`` and can be skipped with ``-m 'not chips'`` for a quick pass.
+Every benchmark regenerates one figure or ablation of the paper (see
+DESIGN.md's experiment index); ``pacor table1`` and ``pacor table2``
+print the paper's tables.
 """
 
 import json
@@ -20,12 +20,6 @@ _RATE_KEYS = (
     "speedup_vs_point_kernel",
     "speedup_vs_scalar_engine",
 )
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "chips: chip-scale benchmark rows (Chip1/Chip2, slow)"
-    )
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -36,7 +36,7 @@ def main() -> None:
     for method in METHODS:
         result = run_method(design, method, PacorConfig(k_candidates=6))
         notes = verify_result(design, result)
-        results[method] = [result]
+        results[method] = result
         print(
             f"{method:13s}: matched {result.matched_clusters}/"
             f"{result.n_lm_clusters}, total length {result.total_length}, "
@@ -45,11 +45,12 @@ def main() -> None:
         )
 
     print()
-    print(format_table(table2_headers(), table2_rows(results)))
+    rows = [result.summary_row() for result in results.values()]
+    print(format_table(table2_headers(), table2_rows(rows)))
 
     svg_path = "demo_chip_pacor.svg"
     with open(svg_path, "w", encoding="utf-8") as handle:
-        handle.write(render_svg(design, results["PACOR"][0], cell=10))
+        handle.write(render_svg(design, results["PACOR"], cell=10))
     print(f"\nWrote {svg_path}")
 
 

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
-
-from repro.core.result import PacorResult
+from typing import Any, Dict, List, Mapping, Sequence
 
 
 @dataclass
@@ -14,7 +12,8 @@ class MethodComparison:
 
     The paper's "Avg." row normalises every method's metric to PACOR's
     (reference = 1.0); ratios average only over designs where both values
-    are non-zero.
+    are non-zero.  ``min_completion`` is the method's worst routing
+    completion over all designs (the paper claims 1.0 everywhere).
     """
 
     method: str
@@ -22,6 +21,7 @@ class MethodComparison:
     matched_length_ratio: float
     total_length_ratio: float
     runtime_ratio: float
+    min_completion: float
 
 
 def _safe_ratio_avg(pairs: Sequence[tuple]) -> float:
@@ -30,38 +30,36 @@ def _safe_ratio_avg(pairs: Sequence[tuple]) -> float:
 
 
 def compare_methods(
-    results: Dict[str, List[PacorResult]], reference: str = "PACOR"
+    rows: Sequence[Mapping[str, Any]], reference: str = "PACOR"
 ) -> List[MethodComparison]:
     """Return per-method averages normalised to ``reference``.
 
-    ``results`` maps method name -> per-design results (same design
-    order for every method).
+    ``rows`` are summary rows (:meth:`PacorResult.summary_row`, or the
+    list ``pacor table2 --json`` writes); every method must cover the
+    same designs as ``reference``.  Methods keep their first-seen order.
     """
-    if reference not in results:
-        raise ValueError(f"reference method {reference!r} missing from results")
-    ref = results[reference]
+    by_method: Dict[str, Dict[str, Mapping[str, Any]]] = {}
+    for row in rows:
+        by_method.setdefault(row["method"], {})[row["design"]] = row
+    if reference not in by_method:
+        raise ValueError(f"reference method {reference!r} missing from rows")
+    ref = by_method[reference]
     comparisons = []
-    for method, runs in results.items():
-        if len(runs) != len(ref):
-            raise ValueError(f"method {method!r} has a different design count")
+    for method, runs in by_method.items():
+        if runs.keys() != ref.keys():
+            raise ValueError(f"method {method!r} covers different designs")
+
+        def avg(metric: str) -> float:
+            return _safe_ratio_avg([(runs[d][metric], ref[d][metric]) for d in ref])
+
         comparisons.append(
             MethodComparison(
                 method=method,
-                matched_ratio=_safe_ratio_avg(
-                    [(r.matched_clusters, f.matched_clusters) for r, f in zip(runs, ref)]
-                ),
-                matched_length_ratio=_safe_ratio_avg(
-                    [
-                        (r.total_matched_length, f.total_matched_length)
-                        for r, f in zip(runs, ref)
-                    ]
-                ),
-                total_length_ratio=_safe_ratio_avg(
-                    [(r.total_length, f.total_length) for r, f in zip(runs, ref)]
-                ),
-                runtime_ratio=_safe_ratio_avg(
-                    [(r.runtime_s, f.runtime_s) for r, f in zip(runs, ref)]
-                ),
+                matched_ratio=avg("matched_clusters"),
+                matched_length_ratio=avg("total_matched_length"),
+                total_length_ratio=avg("total_length"),
+                runtime_ratio=avg("runtime_s"),
+                min_completion=min(run["completion"] for run in runs.values()),
             )
         )
     return comparisons

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Any, Iterable, List, Mapping, Sequence
 
-from repro.core.result import PacorResult
 from repro.designs.design import Design
 
 
@@ -38,29 +37,30 @@ def table1_rows(designs: Sequence[Design]) -> List[List[object]]:
 
 
 def table2_rows(
-    results_by_method: Dict[str, List[PacorResult]],
+    rows: Sequence[Mapping[str, Any]],
     method_order: Sequence[str] = ("w/o Sel", "Detour First", "PACOR"),
 ) -> List[List[object]]:
     """Return Table-2 rows: per design, the three methods' metrics.
 
+    ``rows`` are summary rows (:meth:`PacorResult.summary_row`, or the
+    list ``pacor table2 --json`` writes) in any order, one per design and
+    method of ``method_order``; designs keep their first-seen order.
     Columns: Design, #Clusters, then per method #Matched, matched length,
     total length and runtime — mirroring the paper's layout.
     """
-    methods = [m for m in method_order if m in results_by_method]
-    if not methods:
-        raise ValueError("no known methods in results")
-    n_designs = len(results_by_method[methods[0]])
-    rows: List[List[object]] = []
-    for i in range(n_designs):
-        first = results_by_method[methods[0]][i]
-        row: List[object] = [first.design_name, first.n_lm_clusters]
+    by_key = {(row["design"], row["method"]): row for row in rows}
+    table: List[List[object]] = []
+    for design in dict.fromkeys(row["design"] for row in rows):
+        missing = [m for m in method_order if (design, m) not in by_key]
+        if missing:
+            raise ValueError(f"design {design!r} has no {missing[0]!r} row")
+        runs = [by_key[design, m] for m in method_order]
+        line: List[object] = [design, runs[0]["n_clusters"]]
         for metric in ("matched_clusters", "total_matched_length", "total_length"):
-            for m in methods:
-                row.append(getattr(results_by_method[m][i], metric))
-        for m in methods:
-            row.append(f"{results_by_method[m][i].runtime_s:.2f}")
-        rows.append(row)
-    return rows
+            line.extend(run[metric] for run in runs)
+        line.extend(f"{run['runtime_s']:.2f}" for run in runs)
+        table.append(line)
+    return table
 
 
 def table2_headers(

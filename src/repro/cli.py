@@ -26,7 +26,11 @@ Commands:
   queue; ``pacor hash S3`` prints the canonical design hash the service
   result cache is keyed on.
 * ``pacor table1`` — print the benchmark-parameter table.
-* ``pacor table2 --designs S1 S2`` — run the three-method comparison.
+* ``pacor table2 --designs S1 S2 --json rows.json`` — run and verify
+  the three methods on each design, print Table 2 with its normalised
+  "Avg." block and optionally save the summary rows (the format of
+  ``results_table2.json``).  ``pacor show rows.json`` prints the same
+  table again from the saved rows.
 * ``pacor generate out.json --width 40 ...`` — synthesize a new design.
 * ``pacor lint [paths...]`` — run pacorlint, the AST-based invariant
   checker (exit 1 on violations, 2 on internal error; see
@@ -42,6 +46,7 @@ from typing import List, Optional
 from repro.analysis import (
     DelayModel,
     cluster_skews,
+    compare_methods,
     format_table,
     quality_ratio,
     table1_rows,
@@ -66,6 +71,7 @@ from repro.robustness.errors import (
     FaultFormatError,
     JobFormatError,
     ServiceError,
+    TraceFormatError,
 )
 from repro.viz import render_ascii, render_svg
 
@@ -398,13 +404,53 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
+def _table2_text(rows: List[dict]) -> str:
+    """Render summary rows as the paper's Table 2 plus its "Avg." block."""
+    comparisons = compare_methods(rows)
+    methods = [m for m in METHODS if any(c.method == m for c in comparisons)]
+    averages = [
+        [
+            c.method,
+            f"{c.matched_ratio:.2f}",
+            f"{c.matched_length_ratio:.2f}",
+            f"{c.total_length_ratio:.2f}",
+            f"{c.runtime_ratio:.2f}",
+            f"{c.min_completion:.0%}",
+        ]
+        for c in comparisons
+    ]
+    avg_headers = [
+        "Avg. (PACOR = 1)",
+        "#Matched",
+        "MatchedLen",
+        "TotalLen",
+        "Runtime",
+        "MinCompletion",
+    ]
+    return "\n\n".join(
+        [
+            format_table(table2_headers(methods), table2_rows(rows, methods)),
+            format_table(avg_headers, averages),
+        ]
+    )
+
+
 def _cmd_table2(args: argparse.Namespace) -> int:
-    results = {name: [] for name in METHODS}
-    for token in args.designs:
-        design = _resolve_design(token)
-        for name in METHODS:
-            results[name].append(run_method(design, name))
-    print(format_table(table2_headers(), table2_rows(results)))
+    """Run and verify every design x method, then print Table 2."""
+    import json
+
+    designs = [_resolve_design(token) for token in args.designs]
+    rows = []
+    for name in METHODS:
+        for design in designs:
+            result = run_method(design, name)
+            verify_result(design, result)
+            rows.append(result.summary_row())
+    print(_table2_text(rows))
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as handle:
+            json.dump(rows, handle, indent=1)
+        print(f"wrote {args.json}")
     return 0
 
 
@@ -432,35 +478,33 @@ def _cmd_skew(args: argparse.Namespace) -> int:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    """Pretty-print rows saved by ``reproduce_table2.py --json``."""
+    """Print Table 2 from the rows ``pacor table2 --json`` saved.
+
+    Renders through the same code as ``pacor table2``, so the table and
+    "Avg." block match what that command printed.  A file that is not
+    JSON, or rows lacking a field or a method, raise
+    :class:`TraceFormatError`, which :func:`main` reports with exit 2.
+    """
     import json
 
     with open(args.results, "r", encoding="utf-8") as handle:
-        rows = json.load(handle)
-    headers = [
-        "Design",
-        "Method",
-        "#Clusters",
-        "#Matched",
-        "MatchedLen",
-        "TotalLen",
-        "Completion",
-        "Runtime[s]",
-    ]
-    table = [
-        [
-            r["design"],
-            r["method"],
-            r["n_clusters"],
-            r["matched_clusters"],
-            r["total_matched_length"],
-            r["total_length"],
-            f"{r['completion']:.0%}",
-            f"{r['runtime_s']:.2f}",
-        ]
-        for r in rows
-    ]
-    print(format_table(headers, table))
+        try:
+            rows = json.load(handle)
+        except ValueError as exc:
+            raise TraceFormatError(
+                f"not valid JSON ({exc})", path=args.results
+            ) from None
+    try:
+        text = _table2_text(rows)
+    except KeyError as exc:
+        raise TraceFormatError(
+            f"a row lacks field {exc}", path=args.results
+        ) from None
+    except (TypeError, ValueError) as exc:
+        raise TraceFormatError(
+            f"not a list of Table-2 rows ({exc})", path=args.results
+        ) from None
+    print(text)
     return 0
 
 
@@ -943,9 +987,14 @@ def build_parser() -> argparse.ArgumentParser:
     table1.add_argument("--no-chips", dest="chips", action="store_false")
     table1.set_defaults(func=_cmd_table1)
 
-    table2 = sub.add_parser("table2", help="run the three-method comparison")
+    table2 = sub.add_parser(
+        "table2", help="run, verify and print the three-method comparison"
+    )
     table2.add_argument(
         "--designs", nargs="+", default=["S1", "S2", "S3", "S4", "S5"]
+    )
+    table2.add_argument(
+        "--json", metavar="FILE", help="write the summary rows to FILE"
     )
     table2.set_defaults(func=_cmd_table2)
 
@@ -956,7 +1005,9 @@ def build_parser() -> argparse.ArgumentParser:
     skew.add_argument("--alpha", type=float, default=2.0)
     skew.set_defaults(func=_cmd_skew)
 
-    show = sub.add_parser("show", help="print a saved results_table2.json")
+    show = sub.add_parser(
+        "show", help="print Table 2 from a file table2 --json wrote"
+    )
     show.add_argument("results")
     show.set_defaults(func=_cmd_show)
 
@@ -1174,6 +1225,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         FaultFormatError,
         JobFormatError,
         ServiceError,
+        TraceFormatError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -178,7 +178,8 @@ class GenerationError(PacorError, RuntimeError):
 class TraceFormatError(PacorError, ValueError):
     """A trace/metrics document is not in the expected format.
 
-    Raised when reading back JSONL span files or metrics snapshots.
+    Raised when reading back JSONL span files, metrics snapshots or the
+    Table-2 summary rows ``pacor table2 --json`` saves.
     Also a :class:`ValueError` for backward compatibility.
 
     Attributes:

@@ -9,8 +9,8 @@ from repro.designs import s1
 from repro.geometry import Point
 
 
-def result(method, design="D", matched=1, mlen=10, extra_len=10, runtime=1.0):
-    """Build a result whose aggregates come from real stub nets.
+def row(method, design="D", matched=1, mlen=10, extra_len=10, runtime=1.0):
+    """Build the summary row of a result whose aggregates come from stub nets.
 
     ``matched`` LM nets of length ``mlen`` each, plus one ordinary net of
     length ``extra_len``.
@@ -48,37 +48,41 @@ def result(method, design="D", matched=1, mlen=10, extra_len=10, runtime=1.0):
         n_lm_clusters=max(matched, 1),
         nets=nets,
         runtime_s=runtime,
-    )
+    ).summary_row()
 
 
 class TestCompareMethods:
     def test_reference_is_unity(self):
-        results = {
-            "PACOR": [result("PACOR")],
-            "w/o Sel": [result("w/o Sel", matched=2, mlen=10, extra_len=20, runtime=2.0)],
-        }
-        comps = {c.method: c for c in compare_methods(results)}
+        rows = [
+            row("PACOR"),
+            row("w/o Sel", matched=2, mlen=10, extra_len=20, runtime=2.0),
+        ]
+        comps = {c.method: c for c in compare_methods(rows)}
         assert comps["PACOR"].matched_ratio == pytest.approx(1.0)
         assert comps["PACOR"].total_length_ratio == pytest.approx(1.0)
         assert comps["w/o Sel"].matched_ratio == pytest.approx(2.0)
         assert comps["w/o Sel"].matched_length_ratio == pytest.approx(2.0)
         assert comps["w/o Sel"].total_length_ratio == pytest.approx(2.0)
         assert comps["w/o Sel"].runtime_ratio == pytest.approx(2.0)
+        assert comps["w/o Sel"].min_completion == 1.0
 
     def test_missing_reference_rejected(self):
         with pytest.raises(ValueError):
-            compare_methods({"w/o Sel": [result("w/o Sel")]})
+            compare_methods([row("w/o Sel")])
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
-            compare_methods({"PACOR": [result("PACOR")], "w/o Sel": []})
+            compare_methods(
+                [
+                    row("PACOR", design="A"),
+                    row("PACOR", design="B"),
+                    row("w/o Sel", design="A"),
+                ]
+            )
 
     def test_zero_reference_skipped(self):
-        results = {
-            "PACOR": [result("PACOR", matched=0)],
-            "w/o Sel": [result("w/o Sel", matched=1)],
-        }
-        comps = {c.method: c for c in compare_methods(results)}
+        rows = [row("PACOR", matched=0), row("w/o Sel", matched=1)]
+        comps = {c.method: c for c in compare_methods(rows)}
         assert comps["w/o Sel"].matched_ratio == 0.0  # no valid pairs
 
 
@@ -97,17 +101,17 @@ class TestTables:
         assert rows[0][2] == 5
 
     def test_table2_rows_and_headers(self):
-        results = {
-            "PACOR": [result("PACOR", design="S1")],
-            "w/o Sel": [result("w/o Sel", design="S1")],
-            "Detour First": [result("Detour First", design="S1")],
-        }
+        rows = [
+            row("PACOR", design="S1"),
+            row("w/o Sel", design="S1"),
+            row("Detour First", design="S1"),
+        ]
         headers = table2_headers()
-        rows = table2_rows(results)
-        assert len(rows) == 1
-        assert len(rows[0]) == len(headers)
-        assert rows[0][0] == "S1"
+        table = table2_rows(rows)
+        assert len(table) == 1
+        assert len(table[0]) == len(headers)
+        assert table[0][0] == "S1"
 
     def test_table2_requires_known_method(self):
         with pytest.raises(ValueError):
-            table2_rows({"bogus": []})
+            table2_rows([row("bogus", design="S1")])

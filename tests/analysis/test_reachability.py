@@ -22,7 +22,6 @@ ENTRY_MODULES = (
 
 #: Modules no entry point reaches, each with its user outside tests.
 ALLOWLIST = {
-    "repro.analysis.metrics": "examples/reproduce_table2.py",
     "repro.designs.perturb": "benchmarks/bench_robustness.py",
     "repro.designs.stress": "benchmarks/bench_contention.py",
     "repro.routing.lee": "benchmarks/bench_kernels.py (Lee oracle)",

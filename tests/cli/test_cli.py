@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import METHODS
+from repro.designs import generate_design, save_design
 
 
 def test_parser_requires_command():
@@ -46,11 +48,39 @@ def test_table1(capsys):
     assert "Chip1" not in out
 
 
-def test_table2_single_design(capsys):
-    assert main(["table2", "--designs", "S1"]) == 0
+def test_table2_single_design(tmp_path, capsys):
+    rows = tmp_path / "rows.json"
+    assert main(["table2", "--designs", "S1", "--json", str(rows)]) == 0
     out = capsys.readouterr().out
     assert "#Matched(PACOR)" in out
     assert "S1" in out
+    # show renders the saved rows through the same code, byte for byte.
+    assert main(["show", str(rows)]) == 0
+    assert out == capsys.readouterr().out + f"wrote {rows}\n"
+
+
+def test_table2_on_a_design_without_lm_clusters(tmp_path, capsys):
+    design = generate_design(
+        "no-lm",
+        30,
+        30,
+        clusters=[],
+        n_singletons=6,
+        n_pins=20,
+        n_obstacles=10,
+        seed=3,
+    )
+    path = tmp_path / "no-lm.json"
+    save_design(design, path)
+    rows_path = tmp_path / "rows.json"
+    # table2 verifies every run; a violation would raise here.
+    assert main(["table2", "--designs", str(path), "--json", str(rows_path)]) == 0
+    out = capsys.readouterr().out
+    assert "#Matched(PACOR)" in out and "Avg. (PACOR = 1)" in out
+    rows = json.loads(rows_path.read_text())
+    assert [row["method"] for row in rows] == list(METHODS)
+    assert all(row["n_clusters"] == 0 for row in rows)
+    assert all(row["completion"] == 1.0 for row in rows)
 
 
 def test_generate_and_route_roundtrip(tmp_path, capsys):
@@ -202,6 +232,24 @@ def test_show_saved_results(tmp_path, capsys):
     assert main(["show", str(path)]) == 0
     out = capsys.readouterr().out
     assert "PACOR" in out and "100%" in out
+
+
+def test_show_row_without_method_exits_2(tmp_path, capsys):
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps([{"design": "S1", "n_clusters": 2}]))
+    assert main(["show", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(path) in err and "'method'" in err
+
+
+def test_show_non_json_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "rows.json"
+    path.write_text("Design  #Clusters\n")
+    assert main(["show", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(path) in err and "not valid JSON" in err
 
 
 def test_route_trace_and_metrics_export(tmp_path, capsys):
