@@ -8,8 +8,16 @@ run them with ``pytest -m chips tests/core/test_table2_golden.py``.
 The paper's claims (100 % completion, PACOR matching at least as many
 clusters as w/o Sel, Chip2 22/22/22, Chip1 26 < 29 < 31) are checked on
 the committed file itself, which ``pacor table2 --json`` writes.
+
+The same runs also pin each whole result document: ``golden/result_hashes.json``
+holds the sha256 of every document minus ``summary.runtime_s`` (its only
+wall-clock field, dropped exactly as the e2e benchmark's fingerprint does),
+so a change that keeps the quality columns but moves a single path cell
+still fails.  Regenerate it only for an intended routing change, with
+``result_hash(run_method(design_by_name(d), m).to_json())`` per row.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -19,6 +27,7 @@ from repro import design_by_name, run_method
 from repro.core import METHODS
 
 GOLDEN_FILE = Path(__file__).resolve().parents[2] / "results_table2.json"
+HASH_FILE = Path(__file__).resolve().parent / "golden" / "result_hashes.json"
 QUALITY = (
     "n_clusters",
     "matched_clusters",
@@ -32,10 +41,25 @@ ROWS = [(d, m) for d in ("S1", "S2", "S3", "S4", "S5") for m in METHODS] + [
 CHIP_ROWS = [("Chip1", m) for m in METHODS]
 
 
+def result_hash(doc):
+    """Return the sha256 of a result document minus ``summary.runtime_s``."""
+    doc = dict(doc)
+    summary = dict(doc["summary"])
+    summary.pop("runtime_s", None)
+    doc["summary"] = summary
+    blob = json.dumps(doc, sort_keys=True, default=str)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def golden():
     rows = json.loads(GOLDEN_FILE.read_text())
     return {(row["design"], row["method"]): row for row in rows}
+
+
+@pytest.fixture(scope="module")
+def golden_hashes():
+    return json.loads(HASH_FILE.read_text())
 
 
 @pytest.mark.parametrize(
@@ -43,10 +67,12 @@ def golden():
     ROWS + [pytest.param(*row, marks=pytest.mark.chips) for row in CHIP_ROWS],
     ids=[f"{d}|{m}" for d, m in ROWS + CHIP_ROWS],
 )
-def test_quality_columns_match_golden(golden, design, method):
-    row = run_method(design_by_name(design), method).summary_row()
+def test_quality_columns_match_golden(golden, golden_hashes, design, method):
+    result = run_method(design_by_name(design), method)
+    row = result.summary_row()
     want = golden[(design, method)]
     assert {c: row[c] for c in QUALITY} == {c: want[c] for c in QUALITY}
+    assert result_hash(result.to_json()) == golden_hashes[f"{design}|{method}"]
 
 
 def test_golden_file_keeps_the_papers_claims(golden):

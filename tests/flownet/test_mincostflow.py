@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.flownet import MinCostFlow
+from repro.flownet.mincostflow import _solve_scalar, _solve_waves
 
 
 def test_node_count_validated():
@@ -116,6 +117,56 @@ def test_matches_networkx_on_random_networks():
         expected_cost = nx.cost_of_flow(g, expected_flow_dict)
         assert flow == expected_flow
         assert cost == pytest.approx(expected_cost)
+
+
+def test_arc_costs_must_be_integers():
+    net = MinCostFlow(2)
+    with pytest.raises(ValueError, match="not an integer"):
+        net.add_arc(0, 1, 1, 0.5)
+    with pytest.raises(ValueError, match="integers"):
+        net.add_arcs([0], [1], [1], [1.5])
+    with pytest.raises(ValueError, match="integers"):
+        net.add_arcs([0], [1], [1], [float("inf")])
+
+
+@pytest.mark.parametrize("engine", [_solve_scalar, _solve_waves])
+def test_split_solves_match_networkx_totals(engine):
+    """A second call continues the first: the summed totals are optimal.
+
+    Both engines run directly, on capacitated networks of mixed degree.
+    """
+    import random
+
+    rng = random.Random(7)
+    for trial in range(8):
+        n = 12
+        net = MinCostFlow(n)
+        g = nx.DiGraph()
+        g.add_nodes_from(range(n))
+        for _ in range(40):
+            u, v = rng.sample(range(n), 2)
+            if g.has_edge(u, v):
+                continue
+            cap = rng.randint(1, 4)
+            cost = rng.randint(0, 9)
+            net.add_arc(u, v, cap, cost)
+            g.add_edge(u, v, capacity=cap, weight=cost)
+        first_flow, first_cost, _ = engine(net, 0, n - 1, 1)
+        rest_flow, rest_cost, _ = engine(net, 0, n - 1, float("inf"))
+        expected = nx.max_flow_min_cost(g, 0, n - 1)
+        assert first_flow + rest_flow == sum(expected[0].values()) - sum(
+            d.get(0, 0) for d in expected.values()
+        )
+        assert first_cost + rest_cost == nx.cost_of_flow(g, expected)
+
+
+def test_arc_added_after_a_solve_keeps_reduced_costs_non_negative():
+    net = MinCostFlow(3)
+    net.add_arc(0, 1, 1, 2)
+    net.add_arc(1, 2, 1, 0)
+    assert net.max_flow_min_cost(0, 2) == (1, 2.0)
+    with pytest.raises(ValueError, match="reduced cost"):
+        net.add_arc(0, 2, 1, 0)
 
 
 def test_add_node_extends_network():
