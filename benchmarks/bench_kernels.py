@@ -16,6 +16,7 @@ Run with ``--benchmark-json`` to archive the numbers (CI does).
 """
 
 import json
+import time
 from pathlib import Path as FsPath
 
 import pytest
@@ -24,8 +25,11 @@ from repro.designs import design_by_name
 from repro.geometry.point import Point
 from repro.grid.grid import RoutingGrid
 from repro.grid.occupancy import Occupancy
+from repro.observability import Metrics, use
 from repro.routing.astar import astar_route
 from repro.routing.bounded import bounded_length_route
+from repro.routing.core import query_space
+from repro.routing.core.engine import _astar_scalar
 from repro.routing.lee import lee_route
 from repro.routing.negotiation import NegotiationRouter, RouteRequest
 
@@ -41,17 +45,11 @@ The refactor's acceptance bar is >= 2x this figure.
 
 _MIN_SPEEDUP = 2.0
 
-_SCALAR_ENGINE_EXPANSIONS_PER_SEC = 647_000
-"""Expansions/sec of the scalar heap engine before the wave engine.
-
-Measured on the open-grid wave sweep below (identical workload) at the
-commit before the vectorised whole-frontier engine landed; the same
-engine measured ~529k/s on the S5 point-to-point sweep, so this is the
-*higher* of its two anchors.  The wave engine's acceptance bar is
->= 10x this figure.
-"""
-
 _MIN_WAVE_SPEEDUP = 10.0
+"""The wave engine's acceptance bar over the scalar heap engine, both
+measured in the same run on the same open-grid sweep."""
+
+_SCALAR_ROUNDS = 3
 
 _BASELINE_PATH = FsPath(__file__).resolve().parents[1] / "BENCH_kernels.json"
 _MAX_REGRESSION = 0.20
@@ -72,6 +70,31 @@ def _check_against_baseline(key, field, eps):
         f"{_MAX_REGRESSION:.0%} below the committed baseline "
         f"({recorded:,}/s in {_BASELINE_PATH.name})"
     )
+
+
+def _scalar_peak_rate(grid, sources, targets):
+    """Best-round expansions/sec of the scalar heap engine on the same sweep.
+
+    Calls the engine directly with unit steps and no history:
+    ``astar_search`` hands this query to the wave engine, and a history
+    array would put the walled-pocket flood in front of the scalar one.
+    """
+    source_xyz = [(p.x, p.y, 0) for p in sources]
+    target_xyz = {(p.x, p.y, 0) for p in targets}
+    peak = 0.0
+    for _ in range(_SCALAR_ROUNDS):
+        registry = Metrics()
+        with use(metrics=registry):
+            started = time.perf_counter()
+            space = query_space(grid)
+            ids = _astar_scalar(
+                space, source_xyz, target_xyz, (1, 1, 1, 1), None, None, None
+            )
+            assert space.materialize(ids)
+            seconds = time.perf_counter() - started
+        expansions = registry.counter_values()["astar.expansions"]
+        peak = max(peak, expansions / seconds)
+    return peak
 
 
 def _corner_runs(grid):
@@ -128,9 +151,9 @@ def test_kernel_wave_throughput(benchmark, effort):
     unit-cost frontiers are exactly the workload the whole-frontier
     engine batches, so this is the honest ceiling measurement (chip
     grids fragment the wave on obstacles and land lower).  Asserts the
-    >= 10x acceptance bar over the scalar heap engine on the identical
-    workload, and the <= 20% regression gate against the committed
-    ``BENCH_kernels.json`` baseline.
+    >= 10x acceptance bar over the scalar heap engine, timed in the same
+    run on the identical workload, and the <= 20% regression gate
+    against the committed ``BENCH_kernels.json`` baseline.
     """
     grid = RoutingGrid(384, 384)
     sources = [Point(0, y) for y in range(grid.height)]
@@ -153,12 +176,14 @@ def test_kernel_wave_throughput(benchmark, effort):
     stats = benchmark.stats.stats
     eps_peak = eps * (stats.mean / stats.min)
     benchmark.extra_info["expansions_per_sec_peak"] = round(eps_peak)
-    speedup = eps_peak / _SCALAR_ENGINE_EXPANSIONS_PER_SEC
+    scalar_peak = _scalar_peak_rate(grid, sources, targets)
+    benchmark.extra_info["scalar_expansions_per_sec_peak"] = round(scalar_peak)
+    speedup = eps_peak / scalar_peak
     benchmark.extra_info["speedup_vs_scalar_engine"] = round(speedup, 2)
     assert speedup >= _MIN_WAVE_SPEEDUP, (
         f"wave sweep: {eps_peak:,.0f} peak expansions/s is below "
-        f"{_MIN_WAVE_SPEEDUP}x the scalar-engine baseline "
-        f"({_SCALAR_ENGINE_EXPANSIONS_PER_SEC:,}/s)"
+        f"{_MIN_WAVE_SPEEDUP}x the scalar engine's "
+        f"{scalar_peak:,.0f}/s on the same sweep"
     )
     _check_against_baseline(
         "test_kernel_wave_throughput", "expansions_per_sec_peak", eps_peak

@@ -19,6 +19,7 @@ _RATE_KEYS = (
     "routes_per_sec",
     "speedup_vs_point_kernel",
     "speedup_vs_scalar_engine",
+    "scalar_expansions_per_sec_peak",
 )
 
 

@@ -109,8 +109,12 @@ class PacorConfig:
             raise ConfigError("k_candidates must be at least 1", field="k_candidates")
         if self.max_ripup_rounds < 0:
             raise ConfigError("max_ripup_rounds must be non-negative", field="max_ripup_rounds")
-        if self.protected_rip_cost <= 0:
-            raise ConfigError("protected_rip_cost must be positive", field="protected_rip_cost")
+        # ``not x > 0`` also rejects NaN.  A zero, negative or NaN
+        # multiplier would price those cells like free ones or wall them
+        # off, not make them dearer to rip.
+        for name in ("lm_rip_cost", "protected_rip_cost"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive", field=name)
         if self.wall_clock_budget_s is not None and self.wall_clock_budget_s <= 0:
             raise ConfigError("wall_clock_budget_s must be positive", field="wall_clock_budget_s")
         if (

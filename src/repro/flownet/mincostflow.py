@@ -263,7 +263,12 @@ class MinCostFlow:
         potentials this one leaves behind.
 
         Returns ``(flow_value, total_cost)`` of this call's augmentations.
+        Raises :class:`ValueError` when ``source`` or ``sink`` is not a
+        node of the network, or when they are the same node.
         """
+        for name, node in (("source", source), ("sink", sink)):
+            if not 0 <= node < self.n:
+                raise ValueError(f"{name} {node} out of range [0, {self.n})")
         if source == sink:
             raise ValueError("source and sink must differ")
         limit = max_flow if max_flow is not None else _INF

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import DetourStage, PacorConfig, SelectionSolver
+from repro.robustness.errors import ConfigError
 
 
 def test_defaults_match_paper():
@@ -37,6 +38,14 @@ def test_invalid_values_rejected():
         PacorConfig(k_candidates=0)
     with pytest.raises(ValueError):
         PacorConfig(max_ripup_rounds=-1)
+
+
+@pytest.mark.parametrize("name", ["lm_rip_cost", "protected_rip_cost"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+def test_probe_penalties_must_be_positive(name, value):
+    with pytest.raises(ConfigError) as info:
+        PacorConfig(**{name: value})
+    assert info.value.field == name
 
 
 def test_string_enums_coerced():

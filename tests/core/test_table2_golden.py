@@ -15,6 +15,11 @@ wall-clock field, dropped exactly as the e2e benchmark's fingerprint does),
 so a change that keeps the quality columns but moves a single path cell
 still fails.  Regenerate it only for an intended routing change, with
 ``result_hash(run_method(design_by_name(d), m).to_json())`` per row.
+
+The same file also pins the probe-heavy two-layer PACOR runs the e2e
+``synth`` workload makes (S2–S5 lifted with ``with_layers(2)`` and the
+10×10 and 12×12 two-layer FPVAs): they have no Table-2 row, but nearly
+every rip-up probe of a ``synth`` pass comes from them.
 """
 
 import hashlib
@@ -25,6 +30,7 @@ import pytest
 
 from repro import design_by_name, run_method
 from repro.core import METHODS
+from repro.designs.generator import generate_fpva
 
 GOLDEN_FILE = Path(__file__).resolve().parents[2] / "results_table2.json"
 HASH_FILE = Path(__file__).resolve().parent / "golden" / "result_hashes.json"
@@ -39,6 +45,16 @@ ROWS = [(d, m) for d in ("S1", "S2", "S3", "S4", "S5") for m in METHODS] + [
     ("Chip2", "PACOR")
 ]
 CHIP_ROWS = [("Chip1", m) for m in METHODS]
+LAYERED = {
+    **{
+        f"{d}x2": (lambda d=d: design_by_name(d).with_layers(2))
+        for d in ("S2", "S3", "S4", "S5")
+    },
+    **{
+        f"fpva-{n}x{n}x2": (lambda n=n: generate_fpva(n, n, layers=2, via_cost=3))
+        for n in (10, 12)
+    },
+}
 
 
 def result_hash(doc):
@@ -73,6 +89,12 @@ def test_quality_columns_match_golden(golden, golden_hashes, design, method):
     want = golden[(design, method)]
     assert {c: row[c] for c in QUALITY} == {c: want[c] for c in QUALITY}
     assert result_hash(result.to_json()) == golden_hashes[f"{design}|{method}"]
+
+
+@pytest.mark.parametrize("name", sorted(LAYERED))
+def test_layered_pacor_runs_match_golden_hash(golden_hashes, name):
+    result = run_method(LAYERED[name](), "PACOR")
+    assert result_hash(result.to_json()) == golden_hashes[f"{name}|PACOR"]
 
 
 def test_golden_file_keeps_the_papers_claims(golden):

@@ -28,6 +28,16 @@ def test_source_equals_sink_rejected():
         net.max_flow_min_cost(0, 0)
 
 
+@pytest.mark.parametrize("source,sink", [(0, -1), (0, 7), (-1, 2), (3, 2), (0, 3)])
+def test_endpoints_out_of_range_rejected(source, sink):
+    """-1 must not wrap onto the last node, and 7 must not escape as a
+    bare IndexError."""
+    net = MinCostFlow(3)
+    net.add_arc(0, 2, 1, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        net.max_flow_min_cost(source, sink)
+
+
 def test_single_arc():
     net = MinCostFlow(2)
     a = net.add_arc(0, 1, 3, 2.0)
